@@ -88,9 +88,13 @@ type line struct {
 
 // Cache is one cache instance.
 type Cache struct {
-	cfg      Config
-	sets     [][]line
+	cfg Config
+	// lines holds every set back to back: set i is
+	// lines[i*assoc : (i+1)*assoc].
+	lines    []line
+	assoc    int
 	setShift uint
+	tagShift uint
 	setMask  uint32
 	clock    uint64
 	stats    Stats
@@ -102,14 +106,17 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	nsets := cfg.SizeBytes / cfg.LineBytes / cfg.Assoc
-	c := &Cache{cfg: cfg, sets: make([][]line, nsets), setMask: uint32(nsets - 1)}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Assoc)
-	}
-	for l := cfg.LineBytes; l > 1; l >>= 1 {
-		c.setShift++
-	}
+	c := &Cache{cfg: cfg, lines: make([]line, nsets*cfg.Assoc), assoc: cfg.Assoc,
+		setMask: uint32(nsets - 1)}
+	c.setShift = log2(uint32(cfg.LineBytes))
+	c.tagShift = c.setShift + log2(uint32(nsets))
 	return c, nil
+}
+
+// set returns the ways of the set addr maps to, and addr's tag.
+func (c *Cache) set(addr uint32) ([]line, uint32) {
+	i := int((addr>>c.setShift)&c.setMask) * c.assoc
+	return c.lines[i : i+c.assoc], addr >> c.tagShift
 }
 
 // Config reports the cache's configuration.
@@ -124,9 +131,7 @@ func (c *Cache) Stats() Stats { return c.stats }
 func (c *Cache) Access(addr uint32, write bool) (hit, writeback bool) {
 	c.clock++
 	c.stats.Accesses++
-	setIdx := (addr >> c.setShift) & c.setMask
-	tag := addr >> c.setShift >> log2(c.setMask+1)
-	set := c.sets[setIdx]
+	set, tag := c.set(addr)
 
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
@@ -161,9 +166,8 @@ func (c *Cache) Access(addr uint32, write bool) (hit, writeback bool) {
 // Probe reports whether addr is present without touching LRU state or
 // statistics.
 func (c *Cache) Probe(addr uint32) bool {
-	setIdx := (addr >> c.setShift) & c.setMask
-	tag := addr >> c.setShift >> log2(c.setMask+1)
-	for _, l := range c.sets[setIdx] {
+	set, tag := c.set(addr)
+	for _, l := range set {
 		if l.valid && l.tag == tag {
 			return true
 		}
@@ -174,13 +178,11 @@ func (c *Cache) Probe(addr uint32) bool {
 // Flush invalidates all lines and reports how many were dirty.
 func (c *Cache) Flush() int {
 	dirty := 0
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			if c.sets[i][j].valid && c.sets[i][j].dirty {
-				dirty++
-			}
-			c.sets[i][j] = line{}
+	for i := range c.lines {
+		if c.lines[i].valid && c.lines[i].dirty {
+			dirty++
 		}
+		c.lines[i] = line{}
 	}
 	return dirty
 }
