@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -28,6 +29,49 @@ func TestPlanDeterministic(t *testing.T) {
 	}
 	if same == len(a.Faults) {
 		t.Fatalf("different seeds produced identical plans")
+	}
+}
+
+// TestPlanKnownAnswer pins one plan expansion: fault campaigns must
+// replay the same faults for the same seed forever.
+func TestPlanKnownAnswer(t *testing.T) {
+	want := []Fault{
+		{Kind: TableBitFlip, Arg: 3804, Extra: 0xbab12a02},
+		{Kind: PortDrop, Arg: 2674},
+		{Kind: ForceMispredict, Arg: 7798},
+		{Kind: LatencyPerturb, Arg: 1985, Extra: 0x2a},
+		{Kind: PortDrop, Arg: 1516},
+		{Kind: LatencyPerturb, Arg: 2344, Extra: 0x27},
+		{Kind: TableBitFlip, Arg: 1327, Extra: 0xda7326c7},
+		{Kind: TableBitFlip, Arg: 7000, Extra: 0x4bbc2f},
+		{Kind: LatencyPerturb, Arg: 2813, Extra: 0x40},
+		{Kind: ForceMispredict, Arg: 4905},
+		{Kind: PortDrop, Arg: 1239},
+		{Kind: TableBitFlip, Arg: 11165, Extra: 0x8c448a78},
+		{Kind: LatencyPerturb, Arg: 1272, Extra: 0x13},
+		{Kind: ForceMispredict, Arg: 651},
+		{Kind: ForceMispredict, Arg: 8469},
+		{Kind: TableBitFlip, Arg: 8731, Extra: 0x89d20de1},
+		{Kind: PortDrop, Arg: 2728},
+		{Kind: LatencyPerturb, Arg: 1002, Extra: 0x37},
+		{Kind: MemFault, Arg: 27230},
+		{Kind: TableBitFlip, Arg: 5096, Extra: 0x9ec9278a},
+		{Kind: ForceMispredict, Arg: 8978},
+		{Kind: TableBitFlip, Arg: 2059, Extra: 0x2865cd13},
+		{Kind: LatencyPerturb, Arg: 367, Extra: 0x2b},
+		{Kind: ForceMispredict, Arg: 1062},
+		{Kind: PortDrop, Arg: 850},
+		{Kind: TableBitFlip, Arg: 5817, Extra: 0xe5a4476b},
+		{Kind: ForceMispredict, Arg: 4931},
+		{Kind: MemFault, Arg: 13246},
+		{Kind: LatencyPerturb, Arg: 2477, Extra: 0x2d},
+		{Kind: TableBitFlip, Arg: 10212, Extra: 0x4408ab71},
+		{Kind: ForceMispredict, Arg: 10024},
+		{Kind: ForceMispredict, Arg: 9291},
+	}
+	p := NewPlan(7, 32, RunShape{Insts: 50_000, MemRefs: 12_000})
+	if !reflect.DeepEqual(p.Faults, want) {
+		t.Fatalf("NewPlan(7, 32, shape) = %v\nwant %v", p.Faults, want)
 	}
 }
 
@@ -168,6 +212,21 @@ func TestStorm(t *testing.T) {
 	}
 	if flips < 2_500 || flips > 3_500 {
 		t.Fatalf("rate-0.3 storm flipped %d/10000 refs", flips)
+	}
+}
+
+// TestStormKnownAnswer pins the first 64 decisions of one storm: the
+// E15 misprediction storms must replay identically for a given seed.
+func TestStormKnownAnswer(t *testing.T) {
+	storm := Storm(3, 0.25)
+	var flipped uint64
+	for ref := uint64(0); ref < 64; ref++ {
+		if storm(ref, core.PredictStack) != core.PredictStack {
+			flipped |= 1 << ref
+		}
+	}
+	if want := uint64(0x3474181010e00264); flipped != want {
+		t.Fatalf("Storm(3, 0.25) flipped %#x over refs 0..63, want %#x", flipped, want)
 	}
 }
 

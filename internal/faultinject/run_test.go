@@ -138,6 +138,21 @@ func TestForcedMispredictKeepsArchitecture(t *testing.T) {
 	}
 }
 
+// TestCampaignKnownAnswer pins a small campaign's summary. Its counts
+// and summed cycles are a function of the per-run plan seeds derived
+// from campaign seed 1, so a change to that derivation shows here as
+// it would in arlfault's output.
+func TestCampaignKnownAnswer(t *testing.T) {
+	s, err := RunCampaign(programs(t)["099.go"], "099.go", 1, 8, 6, testMaxInsts, cpu.Decoupled(3, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "099.go       seed=1 runs=8 faults/run=6 fired=8/8 (faults 30) aborts=5 recoveries=30 mispredicts=30 divergences=0\n"
+	if got := s.String(); got != want || s.Cycles != 9261 {
+		t.Fatalf("campaign seed 1 = %q (cycles %d)\nwant %q (cycles 9261)", got, s.Cycles, want)
+	}
+}
+
 // TestCampaignAcceptance is the PR's acceptance gate: a campaign of
 // more than 200 seeded fault runs spread across all twelve workloads
 // must produce zero architectural divergences, fire at least one fault

@@ -168,6 +168,29 @@ func TestBackoffDeterministic(t *testing.T) {
 	}
 }
 
+// TestBackoffKnownAnswer pins the jitter stream: a retried campaign
+// must wait the same delays for the same (seed, name, attempt).
+func TestBackoffKnownAnswer(t *testing.T) {
+	r := Retry{BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond}
+	for _, c := range []struct {
+		seed    uint64
+		name    string
+		attempt int
+		want    time.Duration
+	}{
+		{42, "trace/099.go", 1, 7172612},
+		{42, "trace/099.go", 4, 76040434},
+		{7, "op", 2, 16206920},
+		{0, "", 1, 5702274},
+		{1 << 63, "sim/130.li/2p0", 6, 70793378},
+	} {
+		r.Seed = c.seed
+		if got := r.backoff(c.name, c.attempt); got != c.want {
+			t.Errorf("backoff(seed %d, %q, attempt %d) = %d, want %d", c.seed, c.name, c.attempt, got, c.want)
+		}
+	}
+}
+
 func TestBreakerTripsAtThreshold(t *testing.T) {
 	b := NewBreaker(3)
 	fail := errors.New("boom")
