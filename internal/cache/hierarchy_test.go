@@ -4,19 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/seeded"
 )
-
-// splitmix64 is the seeded stream generator for the property tests:
-// deterministic, well-mixed, no global rand state.
-type splitmix64 uint64
-
-func (s *splitmix64) next() uint64 {
-	*s += 0x9e3779b97f4a7c15
-	z := uint64(*s)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d4b74f9a57f4b7
-	return z ^ (z >> 31)
-}
 
 // TestHierarchyMatchesSeparateCaches is the refactor's load-bearing
 // property: a 2-partition region-steered Hierarchy must be
@@ -40,9 +29,9 @@ func TestHierarchyMatchesSeparateCaches(t *testing.T) {
 		lvc := mustNew(LVCConfig(2))
 		l2 := mustNew(L2Config())
 
-		rng := splitmix64(seed)
+		rng := seeded.Stream(seed)
 		for i := 0; i < 20000; i++ {
-			r := rng.next()
+			r := rng.Next()
 			// Small address spaces so both caches see real conflict
 			// misses and dirty evictions; stack addresses high, heap low,
 			// matching the paper's layout.

@@ -181,13 +181,18 @@ func (c *Common) NetInjector() *chaosnet.Injector {
 	if err != nil {
 		c.Fatalf("-net-faults: %v", err)
 	}
-	logf := func(string, ...any) {}
-	if !c.Quiet {
-		logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, c.Cmd+": "+format+"\n", args...)
-		}
+	return chaosnet.New(plan, c.logf())
+}
+
+// logf returns the logger for the store and the fault injectors: one
+// "<cmd>: " line per call on stderr, nil under -q.
+func (c *Common) logf() func(format string, args ...any) {
+	if c.Quiet {
+		return nil
 	}
-	return chaosnet.New(plan, logf)
+	return func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, c.Cmd+": "+format+"\n", args...)
+	}
 }
 
 // StoreFS returns the filesystem the store and journal run on: the OS
@@ -204,13 +209,7 @@ func (c *Common) StoreFS() store.FS {
 		if err != nil {
 			c.Fatalf("-store-faults: %v", err)
 		}
-		logf := func(string, ...any) {}
-		if !c.Quiet {
-			logf = func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, c.Cmd+": "+format+"\n", args...)
-			}
-		}
-		c.fs = faultfs.New(c.fs, plan, logf)
+		c.fs = faultfs.New(c.fs, plan, c.logf())
 	}
 	return c.fs
 }
@@ -223,11 +222,7 @@ func (c *Common) OpenStore() *store.Store {
 	if err != nil {
 		c.Fatalf("%v", err)
 	}
-	if !c.Quiet {
-		s.SetLog(func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, c.Cmd+": "+format+"\n", args...)
-		})
-	}
+	s.SetLog(c.logf())
 	c.Store = s
 	return s
 }

@@ -10,21 +10,14 @@ import (
 	"repro/internal/cache"
 	"repro/internal/isa"
 	"repro/internal/obs"
+	"repro/internal/seeded"
 )
 
-// synthRNG is a splitmix64 stream: the synthetic traces must not depend
+// synthRNG is a seeded stream: the synthetic traces must not depend
 // on math/rand's generator staying the same across Go releases.
-type synthRNG uint64
+type synthRNG struct{ seeded.Stream }
 
-func (r *synthRNG) next() uint64 {
-	*r += 0x9E3779B97F4A7C15
-	z := uint64(*r)
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-func (r *synthRNG) intn(n int) int { return int(r.next() % uint64(n)) }
+func (r *synthRNG) intn(n int) int { return int(r.Intn(uint64(n))) }
 
 // chance reports true with probability pct/100.
 func (r *synthRNG) chance(pct int) bool { return r.intn(100) < pct }
@@ -38,7 +31,7 @@ func (r *synthRNG) chance(pct int) bool { return r.intn(100) < pct }
 // mispredictions and a few region flags that disagree with the address,
 // far addresses that miss to memory, FlagEarlyAddr and FlagVPHit.
 func synthTrace(seed uint64, n int) *Trace {
-	rng := synthRNG(seed)
+	rng := synthRNG{seeded.Stream(seed)}
 	tr := &Trace{Name: fmt.Sprintf("synth-%d", seed), Insts: make([]TraceInst, n)}
 	var recent [8]int8 // recently written registers: the chain sources
 	for i := range recent {
@@ -184,10 +177,7 @@ type recFaulter struct {
 	calls []string
 }
 
-func (f *recFaulter) hash(n uint64) uint64 {
-	r := synthRNG(f.seed ^ n*0x9E3779B97F4A7C15)
-	return r.next()
-}
+func (f *recFaulter) hash(n uint64) uint64 { return seeded.Derive(f.seed, n) }
 
 func (f *recFaulter) PortDenied(n uint64, lvc bool) bool {
 	f.calls = append(f.calls, fmt.Sprintf("port %d %v", n, lvc))

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/experiments"
@@ -104,6 +105,25 @@ func TestEnumerateMaxPointsDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds sampled identical point sets (possible but wildly unlikely)")
+	}
+}
+
+// TestEnumerateMaxPointsKnownAnswer pins one seeded sample: which
+// points "arlexplore -max-points 5 -seed 42" keeps from a 36-point
+// grid.
+func TestEnumerateMaxPointsKnownAnswer(t *testing.T) {
+	g := Grid{L1Ports: []int{1, 2, 3, 4}, LVCPorts: []int{1, 2, 3}, Penalties: []int{1, 2, 4}, MaxPoints: 5}
+	pts, dropped, err := g.Enumerate(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, p := range pts {
+		got = append(got, p.Name)
+	}
+	want := []string{"(1+1)", "(1+1,pen4)", "(1+2,pen2)", "(4+2,pen2)", "(4+2,pen4)"}
+	if !reflect.DeepEqual(got, want) || dropped != 31 {
+		t.Fatalf("sample = %q (dropped %d), want %q (dropped 31)", got, dropped, want)
 	}
 }
 

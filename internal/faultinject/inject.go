@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/seeded"
 )
 
 // ErrInjected marks an architectural fault raised by the injection
@@ -144,7 +145,7 @@ func Storm(seed uint64, rate float64) func(ref uint64, pred core.Prediction) cor
 	}
 	threshold := uint64(rate * (1 << 32))
 	return func(ref uint64, pred core.Prediction) core.Prediction {
-		if mix(seed, ref)&0xFFFFFFFF < threshold {
+		if seeded.Derive(seed, ref)&0xFFFFFFFF < threshold {
 			return !pred
 		}
 		return pred

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/decouple"
 	"repro/internal/prog"
+	"repro/internal/seeded"
 	"repro/internal/vm"
 )
 
@@ -224,7 +225,7 @@ func RunCampaign(p *prog.Program, name string, seed uint64, runs, faultsPerRun i
 	}
 	s := &Summary{Workload: name, Seed: seed, Runs: runs, FaultsPerRun: faultsPerRun}
 	for i := 0; i < runs; i++ {
-		plan := NewPlan(mix(seed, uint64(i)), faultsPerRun, golden.Shape)
+		plan := NewPlan(seeded.Derive(seed, uint64(i)), faultsPerRun, golden.Shape)
 		rr, err := RunOne(p, maxInsts, golden, plan, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("faultinject: %s run %d: %w", name, i, err)

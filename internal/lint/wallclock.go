@@ -11,7 +11,9 @@ import (
 // internal/experiments is included because its memoized artifacts and
 // report tables feed the same comparisons; its two legitimate
 // wall-clock sites (the RunStats harness-cost table) carry
-// //arlvet:allow annotations.
+// //arlvet:allow annotations. internal/explore's frontier must be a
+// pure function of (grid, seed), and internal/seeded is the stream
+// every seeded claim draws from.
 var deterministicPkgs = map[string]bool{
 	"repro/internal/cpu":         true,
 	"repro/internal/cache":       true,
@@ -22,6 +24,8 @@ var deterministicPkgs = map[string]bool{
 	"repro/internal/faultinject": true,
 	"repro/internal/static":      true,
 	"repro/internal/experiments": true,
+	"repro/internal/seeded":      true,
+	"repro/internal/explore":     true,
 }
 
 // wallclockFuncs are the time functions that read the wall clock or

@@ -1,7 +1,7 @@
 // Package chaosnet is the deterministic network-fault injection layer
 // for the arld fleet: a seeded proxy that fails exact network events —
 // a latency spike, a connection reset, a half-open partition, a
-// truncated response — according to a splitmix64 plan, mirroring
+// truncated response — according to a seeded plan, mirroring
 // store/faultfs so network-chaos runs reproduce from a single seed the
 // same way storage-chaos runs do.
 //
@@ -34,6 +34,8 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
+
+	"repro/internal/seeded"
 )
 
 // ErrInjected marks every fault this package injects; test with
@@ -64,6 +66,9 @@ const (
 
 var kindNames = [numKinds]string{"latency", "reset", "half-open", "truncate"}
 
+// allKinds lists every kind: any of them may be planned for an event.
+var allKinds = []Kind{Latency, Reset, HalfOpen, Truncate}
+
 func (k Kind) String() string {
 	if int(k) < len(kindNames) {
 		return kindNames[k]
@@ -75,54 +80,20 @@ func (k Kind) String() string {
 // of the endpoint's class fails with the fault's kind. All four kinds
 // share one ordinal space per class, so {Reset, Op: 5} and {Latency,
 // Op: 5} address the same event.
-type Fault struct {
-	Kind Kind
-	Op   uint64
-}
-
-func (f Fault) String() string { return fmt.Sprintf("%s@op%d", f.Kind, f.Op) }
+type Fault = seeded.Fault[Kind]
 
 // Plan is a seeded set of network faults.
-type Plan struct {
-	Seed   uint64
-	Faults []Fault
-}
+type Plan = seeded.Plan[Kind]
 
-// NewPlan expands seed into n faults, each addressing an event ordinal
-// in [0, window) of a kind drawn uniformly — a pure function of its
-// arguments (splitmix64, the repo's standard seeded stream).
+// NewPlan expands seed into n faults over this package's kinds; see
+// seeded.NewPlan.
 func NewPlan(seed uint64, n int, window uint64) *Plan {
-	if window == 0 {
-		window = 1
-	}
-	p := &Plan{Seed: seed, Faults: make([]Fault, 0, n)}
-	state := seed
-	next := func() uint64 {
-		state += 0x9E3779B97F4A7C15
-		z := state
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		return z ^ (z >> 31)
-	}
-	for i := 0; i < n; i++ {
-		p.Faults = append(p.Faults, Fault{
-			Kind: Kind(next() % uint64(numKinds)),
-			Op:   next() % window,
-		})
-	}
-	return p
+	return seeded.NewPlan(seed, n, window, numKinds)
 }
 
-// ParsePlan renders a "seed:count:window" flag value into a plan —
-// the -net-faults CLI surface, same grammar as -store-faults.
-func ParsePlan(spec string) (*Plan, error) {
-	var seed, window uint64
-	var n int
-	if _, err := fmt.Sscanf(spec, "%d:%d:%d", &seed, &n, &window); err != nil || n < 0 {
-		return nil, fmt.Errorf(`chaosnet: bad plan %q, want "seed:count:window" like "7:4:64"`, spec)
-	}
-	return NewPlan(seed, n, window), nil
-}
+// ParsePlan parses a -net-faults "seed:count:window" spec, the same
+// grammar as -store-faults; see seeded.ParsePlan.
+func ParsePlan(spec string) (*Plan, error) { return seeded.ParsePlan(spec, numKinds) }
 
 // The event classes that draw ordinals: accepted connections and HTTP
 // round trips.
@@ -137,61 +108,26 @@ const (
 const DefaultDelay = 250 * time.Millisecond
 
 // Injector realizes a Plan against the network events of one endpoint.
-// Safe for concurrent use; per-class ordinals are atomic, so the set
-// of injected faults is stable under concurrency even when which
-// caller draws each ordinal is not.
+// Safe for concurrent use (see seeded.Armed).
 type Injector struct {
 	Delay time.Duration // Latency spike length; 0 = DefaultDelay
-	log   func(format string, args ...any)
-
-	mu      sync.Mutex
-	pending map[Kind]map[uint64]bool
-	ops     [numClasses]atomic.Uint64
-	fired   atomic.Uint64
+	armed *seeded.Armed[Kind]
 }
 
 // New builds an injector from the plan. log (optional) receives one
 // line per injected fault.
 func New(plan *Plan, log func(format string, args ...any)) *Injector {
-	inj := &Injector{log: log, pending: make(map[Kind]map[uint64]bool)}
-	if plan != nil {
-		for _, flt := range plan.Faults {
-			if inj.pending[flt.Kind] == nil {
-				inj.pending[flt.Kind] = make(map[uint64]bool)
-			}
-			inj.pending[flt.Kind][flt.Op] = true
-		}
-	}
-	return inj
+	return &Injector{armed: seeded.Arm("chaosnet", plan, numClasses, log)}
 }
 
 // Fired reports how many planned faults have been injected so far.
-func (inj *Injector) Fired() uint64 { return inj.fired.Load() }
+func (inj *Injector) Fired() uint64 { return inj.armed.Fired() }
 
 func (inj *Injector) delay() time.Duration {
 	if inj.Delay > 0 {
 		return inj.Delay
 	}
 	return DefaultDelay
-}
-
-// trip advances class's ordinal and reports which kind (if any) is
-// planned for this event. Each address fires once.
-func (inj *Injector) trip(class int) (Kind, bool) {
-	op := inj.ops[class].Add(1) - 1
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	for kind := Kind(0); kind < numKinds; kind++ {
-		if inj.pending[kind][op] {
-			delete(inj.pending[kind], op)
-			inj.fired.Add(1)
-			if inj.log != nil {
-				inj.log("chaosnet: injecting %s@op%d", kind, op)
-			}
-			return kind, true
-		}
-	}
-	return 0, false
 }
 
 func injected(kind Kind) error {
@@ -221,7 +157,7 @@ func (l *listener) Accept() (net.Conn, error) {
 	if err != nil {
 		return conn, err
 	}
-	kind, ok := l.inj.trip(classConn)
+	kind, ok := l.inj.armed.Trip(classConn, allKinds...)
 	if !ok {
 		return conn, nil
 	}
@@ -310,7 +246,7 @@ type transport struct {
 }
 
 func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	kind, ok := t.inj.trip(classRT)
+	kind, ok := t.inj.armed.Trip(classRT, allKinds...)
 	if !ok {
 		return t.inner.RoundTrip(req)
 	}

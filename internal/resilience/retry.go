@@ -6,8 +6,8 @@
 // an aborted campaign.
 //
 // Everything here is deterministic by construction — backoff jitter
-// comes from a seeded splitmix64 stream keyed by (seed, operation
-// name, attempt), never from wall-clock or global randomness — so a
+// comes from the seeded splitmix64 hash (internal/seeded) keyed by
+// (seed, operation name, attempt), never from wall-clock or global randomness — so a
 // retried campaign remains byte-reproducible under the same seed.
 package resilience
 
@@ -15,7 +15,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"time"
+
+	"repro/internal/seeded"
 )
 
 // Defaults used when a Retry field is zero.
@@ -104,8 +107,8 @@ func (r Retry) Do(ctx context.Context, name string, fn func(ctx context.Context)
 
 // backoff computes the deterministic jittered delay after the given
 // failed attempt (1-based): an exponentially grown base, capped, then
-// jittered into [delay/2, delay] by a splitmix64 stream keyed by
-// (seed, name, attempt).
+// jittered into [delay/2, delay] by a seeded hash of (seed, FNV-1a of
+// name, attempt).
 func (r Retry) backoff(name string, attempt int) time.Duration {
 	base := r.BaseDelay
 	if base <= 0 {
@@ -126,7 +129,9 @@ func (r Retry) backoff(name string, attempt int) time.Duration {
 	if half <= 0 {
 		return d
 	}
-	u := splitmix64(r.Seed ^ hashString(name) ^ uint64(attempt)*0x9E3779B97F4A7C15)
+	h := fnv.New64a()
+	h.Write([]byte(name))
+	u := seeded.Derive(r.Seed^h.Sum64(), uint64(attempt-1))
 	return half + time.Duration(u%uint64(half+1))
 }
 
@@ -144,25 +149,6 @@ func sleep(ctx context.Context, d time.Duration) bool {
 	case <-ctx.Done():
 		return false
 	}
-}
-
-// splitmix64 is the finalizer of the SplitMix64 generator: a cheap,
-// high-quality 64-bit mix suitable for deterministic jitter.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
-// hashString is FNV-1a, inlined to keep the package dependency-free.
-func hashString(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 // Transient reports whether err stems from cancellation, a watchdog

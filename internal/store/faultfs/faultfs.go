@@ -2,8 +2,8 @@
 // under the artifact store and the service journal: an FS wrapper that
 // fails exact operations — EIO on a write, a short/partial write, a
 // failed fsync, ENOSPC, a silently dropped rename, EIO on a read —
-// according to a seeded splitmix64 plan, so crash- and IO-chaos tests
-// reproduce byte for byte from a single seed.
+// according to a seeded plan (internal/seeded), so crash- and IO-chaos
+// tests reproduce byte for byte from a single seed.
 //
 // Faults are addressed by (kind, per-kind operation ordinal): the
 // plan entry {Kind: SyncFail, Op: 3} fails the fourth Sync the wrapped
@@ -24,10 +24,9 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sync"
-	"sync/atomic"
 	"syscall"
 
+	"repro/internal/seeded"
 	"repro/internal/store"
 )
 
@@ -80,56 +79,20 @@ func (k Kind) String() string {
 // Each address fires at most once, so a retried operation succeeds —
 // injected faults model transient IO trouble and crash debris, not a
 // dead disk.
-type Fault struct {
-	Kind Kind
-	Op   uint64
-}
-
-func (f Fault) String() string { return fmt.Sprintf("%s@op%d", f.Kind, f.Op) }
+type Fault = seeded.Fault[Kind]
 
 // Plan is a seeded set of storage faults.
-type Plan struct {
-	Seed   uint64
-	Faults []Fault
-}
+type Plan = seeded.Plan[Kind]
 
-// NewPlan expands seed into n faults, each addressing an operation
-// ordinal in [0, window) of a kind drawn uniformly. The expansion is a
-// pure function of its arguments (splitmix64, the repo's standard
-// seeded stream), so a chaos run is reproducible from (seed, n,
-// window) alone.
+// NewPlan expands seed into n faults over this package's kinds; see
+// seeded.NewPlan.
 func NewPlan(seed uint64, n int, window uint64) *Plan {
-	if window == 0 {
-		window = 1
-	}
-	p := &Plan{Seed: seed, Faults: make([]Fault, 0, n)}
-	state := seed
-	next := func() uint64 {
-		state += 0x9E3779B97F4A7C15
-		z := state
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		return z ^ (z >> 31)
-	}
-	for i := 0; i < n; i++ {
-		p.Faults = append(p.Faults, Fault{
-			Kind: Kind(next() % uint64(numKinds)),
-			Op:   next() % window,
-		})
-	}
-	return p
+	return seeded.NewPlan(seed, n, window, numKinds)
 }
 
-// ParsePlan renders a "seed:count:window" flag value into a plan —
-// the -store-faults CLI surface.
-func ParsePlan(spec string) (*Plan, error) {
-	var seed, window uint64
-	var n int
-	if _, err := fmt.Sscanf(spec, "%d:%d:%d", &seed, &n, &window); err != nil || n < 0 {
-		return nil, fmt.Errorf(`faultfs: bad plan %q, want "seed:count:window" like "7:4:64"`, spec)
-	}
-	return NewPlan(seed, n, window), nil
-}
+// ParsePlan parses a -store-faults "seed:count:window" spec; see
+// seeded.ParsePlan.
+func ParsePlan(spec string) (*Plan, error) { return seeded.ParsePlan(spec, numKinds) }
 
 // The operation classes that draw ordinals: writes (all three write
 // kinds share the stream of File.Write calls), syncs, renames, reads.
@@ -142,17 +105,10 @@ const (
 )
 
 // FS wraps an inner store.FS and realizes a Plan against it. Safe for
-// concurrent use; the per-class ordinals are atomic, so under
-// concurrency the set of injected faults is stable even when which
-// caller draws each ordinal is not.
+// concurrent use (see seeded.Armed).
 type FS struct {
 	inner store.FS
-	log   func(format string, args ...any)
-
-	mu      sync.Mutex
-	pending map[Kind]map[uint64]bool // armed (kind, op) addresses
-	ops     [numClasses]atomic.Uint64
-	fired   atomic.Uint64
+	armed *seeded.Armed[Kind]
 }
 
 // New wraps inner with the plan's faults. A nil inner wraps the real
@@ -161,39 +117,11 @@ func New(inner store.FS, plan *Plan, log func(format string, args ...any)) *FS {
 	if inner == nil {
 		inner = store.OS()
 	}
-	f := &FS{inner: inner, log: log, pending: make(map[Kind]map[uint64]bool)}
-	if plan != nil {
-		for _, flt := range plan.Faults {
-			if f.pending[flt.Kind] == nil {
-				f.pending[flt.Kind] = make(map[uint64]bool)
-			}
-			f.pending[flt.Kind][flt.Op] = true
-		}
-	}
-	return f
+	return &FS{inner: inner, armed: seeded.Arm("faultfs", plan, numClasses, log)}
 }
 
 // Fired reports how many planned faults have been injected so far.
-func (f *FS) Fired() uint64 { return f.fired.Load() }
-
-// trip advances class's ordinal and reports which of the given kinds
-// (if any) is planned for this operation. Each address fires once.
-func (f *FS) trip(class int, kinds ...Kind) (Kind, bool) {
-	op := f.ops[class].Add(1) - 1
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, kind := range kinds {
-		if f.pending[kind][op] {
-			delete(f.pending[kind], op)
-			f.fired.Add(1)
-			if f.log != nil {
-				f.log("faultfs: injecting %s@op%d", kind, op)
-			}
-			return kind, true
-		}
-	}
-	return 0, false
-}
+func (f *FS) Fired() uint64 { return f.armed.Fired() }
 
 func injected(kind Kind, errno syscall.Errno) error {
 	return fmt.Errorf("%w: %s: %w", ErrInjected, kind, errno)
@@ -220,7 +148,7 @@ func (f *FS) OpenAppend(path string, perm os.FileMode) (store.File, error) {
 func (f *FS) Chmod(name string, mode os.FileMode) error { return f.inner.Chmod(name, mode) }
 
 func (f *FS) Rename(oldpath, newpath string) error {
-	if _, ok := f.trip(classRename, RenameDrop); ok {
+	if _, ok := f.armed.Trip(classRename, RenameDrop); ok {
 		// Report success, drop the rename: the lost-rename crash. The
 		// source is removed so the debris does not double as a
 		// half-visible record.
@@ -233,7 +161,7 @@ func (f *FS) Rename(oldpath, newpath string) error {
 func (f *FS) Remove(name string) error { return f.inner.Remove(name) }
 
 func (f *FS) ReadFile(name string) ([]byte, error) {
-	if _, ok := f.trip(classRead, ReadEIO); ok {
+	if _, ok := f.armed.Trip(classRead, ReadEIO); ok {
 		return nil, injected(ReadEIO, syscall.EIO)
 	}
 	return f.inner.ReadFile(name)
@@ -250,7 +178,7 @@ type faultFile struct {
 }
 
 func (f *faultFile) Write(p []byte) (int, error) {
-	switch kind, ok := f.fs.trip(classWrite, WriteEIO, ShortWrite, WriteENOSPC); {
+	switch kind, ok := f.fs.armed.Trip(classWrite, WriteEIO, ShortWrite, WriteENOSPC); {
 	case !ok:
 		return f.File.Write(p)
 	case kind == ShortWrite:
@@ -267,7 +195,7 @@ func (f *faultFile) Write(p []byte) (int, error) {
 }
 
 func (f *faultFile) Sync() error {
-	if _, ok := f.fs.trip(classSync, SyncFail); ok {
+	if _, ok := f.fs.armed.Trip(classSync, SyncFail); ok {
 		return injected(SyncFail, syscall.EIO)
 	}
 	return f.File.Sync()
