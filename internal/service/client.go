@@ -265,10 +265,20 @@ func (c *Client) Run(req CampaignRequest) (ResultsResponse, error) {
 	if req.IdempotencyKey == "" {
 		req.IdempotencyKey = NewIdempotencyKey()
 	}
+	if req.Tenant == "" {
+		req.Tenant = c.Tenant
+	}
+	return c.collect("/api/v1/campaigns", req)
+}
+
+// collect POSTs one idempotent submission to path, retrying through
+// transient server trouble, waits for the job and returns its results
+// — erroring unless the job completed fully.
+func (c *Client) collect(path string, req any) (ResultsResponse, error) {
 	var status JobStatus
 	var err error
 	for attempt := 0; ; attempt++ {
-		status, err = c.Submit(req)
+		err = c.do(http.MethodPost, path, req, &status)
 		if err == nil || !transientServerError(err) || attempt >= waitRetryBudget {
 			break
 		}
@@ -404,28 +414,9 @@ func (c *Client) Explore(scale int, maxInsts, seed uint64,
 		Tenant: c.Tenant, Scale: scale, MaxInsts: maxInsts, Seed: seed,
 		Workloads: names, Grid: grid, IdempotencyKey: NewIdempotencyKey(),
 	}
-	var status JobStatus
-	for attempt := 0; ; attempt++ {
-		err = c.do(http.MethodPost, "/api/v1/explorations", req, &status)
-		if err == nil || !transientServerError(err) || attempt >= waitRetryBudget {
-			break
-		}
-		time.Sleep(waitRetryDelay)
-	}
+	resp, err := c.collect("/api/v1/explorations", req)
 	if err != nil {
 		return nil, err
-	}
-	status, err = c.Wait(status.ID)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.Results(status.ID)
-	if err != nil {
-		return nil, err
-	}
-	if status.State != JobComplete {
-		return nil, fmt.Errorf("job %s ended %s (%d failed, %d canceled): %s",
-			status.ID, status.State, status.Failed, status.Canceled, firstError(resp))
 	}
 	// Server expansion order is points outer, workloads inner (see
 	// ExplorationRequest.Campaign).

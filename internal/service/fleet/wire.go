@@ -30,6 +30,7 @@ type LeaseGrant struct {
 	Spec     json.RawMessage `json:"spec"` // service.UnitSpec
 	Scale    int             `json:"scale,omitempty"`
 	MaxInsts uint64          `json:"max_insts,omitempty"`
+	Seed     uint64          `json:"seed,omitempty"` // the job's seed, which keys the unit's retry backoff
 }
 
 // RenewRequest heartbeats a lease.

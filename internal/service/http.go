@@ -63,22 +63,12 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	status, err := s.Submit(req)
-	switch {
-	case errors.Is(err, ErrDraining), errors.Is(err, ErrNotReady), errors.Is(err, ErrJournal):
-		writeError(w, http.StatusServiceUnavailable, err)
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrQuota):
-		writeError(w, http.StatusTooManyRequests, err)
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
-	default:
-		writeJSON(w, http.StatusAccepted, status)
-	}
+	s.submit(w, req)
 }
 
 // handleExplore accepts a design-space exploration: the grid expands
 // into explore units server-side and submits as an ordinary campaign,
-// sharing handleSubmit's idempotency and error mapping.
+// sharing handleSubmit's idempotency and status mapping.
 func (s *Service) handleExplore(w http.ResponseWriter, r *http.Request) {
 	var req ExplorationRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -90,7 +80,15 @@ func (s *Service) handleExplore(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	status, err := s.Submit(creq)
+	s.submit(w, creq)
+}
+
+// submit submits one campaign and writes the answer: 202 with the job
+// status, 503 while the service cannot take work (draining, replaying
+// its journal, journal write failed), 429 over the queue or tenant
+// bound, and 400 for a request that does not validate.
+func (s *Service) submit(w http.ResponseWriter, req CampaignRequest) {
+	status, err := s.Submit(req)
 	switch {
 	case errors.Is(err, ErrDraining), errors.Is(err, ErrNotReady), errors.Is(err, ErrJournal):
 		writeError(w, http.StatusServiceUnavailable, err)
