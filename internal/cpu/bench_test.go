@@ -89,3 +89,25 @@ func BenchmarkSimRingObs(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBuildTrace measures the trace builder (functional run,
+// steering classifier and value predictor) on the first benchInsts
+// instructions of 129.compress.
+func BenchmarkBuildTrace(b *testing.B) {
+	w, ok := workload.ByName("129.compress")
+	if !ok {
+		b.Fatal("129.compress missing")
+	}
+	p, err := w.Compile(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildTrace(p, TraceOptions{MaxInsts: benchInsts}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchInsts), "ns/inst")
+}

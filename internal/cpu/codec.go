@@ -30,7 +30,8 @@ func (t *Trace) MarshalBinary() ([]byte, error) {
 	if len(t.Name) > 1<<20 {
 		return nil, fmt.Errorf("cpu: trace name %d bytes long", len(t.Name))
 	}
-	size := len(traceMagic) + 1 + 4 + len(t.Name) + 8*8 + 8 + len(t.Insts)*traceInstBytes
+	// 8*8: the seven classifier counters and the instruction count.
+	size := len(traceMagic) + 1 + 4 + len(t.Name) + 8*8 + len(t.Insts)*traceInstBytes
 	buf := make([]byte, 0, size)
 	buf = append(buf, traceMagic...)
 	buf = append(buf, traceCodecVersion)

@@ -28,6 +28,9 @@ func TestTraceCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(data) != cap(data) {
+		t.Errorf("encoding is %d bytes in a %d-byte buffer: the size formula is off", len(data), cap(data))
+	}
 	var got Trace
 	if err := got.UnmarshalBinary(data); err != nil {
 		t.Fatal(err)

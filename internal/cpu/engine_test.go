@@ -52,6 +52,30 @@ func TestSimulateZeroAllocsPerInst(t *testing.T) {
 	}
 }
 
+// TestBuildTraceAllocsPerInst is the trace builder's allocation gate:
+// static fields come from per-instruction templates and records are
+// collected in fixed chunks, so a build allocates per run and per
+// 64Ki-record chunk, never per instruction.
+func TestBuildTraceAllocsPerInst(t *testing.T) {
+	const n = 200_000
+	w, ok := workload.ByName("129.compress")
+	if !ok {
+		t.Fatal("129.compress missing")
+	}
+	p, err := w.Compile(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := BuildTrace(p, TraceOptions{MaxInsts: n}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if per := allocs / n; per >= 0.001 {
+		t.Errorf("%.0f allocations for %d instructions (%.4f per instruction), want under 0.001", allocs, n, per)
+	}
+}
+
 // TestSimulateCancelled: a context cancelled before the run must stop
 // the engine at its next poll and surface context.Canceled, wrapped.
 func TestSimulateCancelled(t *testing.T) {

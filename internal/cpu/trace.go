@@ -200,6 +200,67 @@ func depReg(r isa.Register, fp bool) int8 {
 	return int8(r)
 }
 
+// traceChunk is the record count of one collection chunk: BuildTrace
+// fills fixed chunks instead of growing one slice, so collection never
+// copies a record twice before the final exact-size assembly.
+const traceChunk = 1 << 16
+
+// traceTemplate is the static part of one program instruction's trace
+// record: everything but the address, the region and predictor
+// outcomes, which BuildTrace adds per dynamic event.
+type traceTemplate struct {
+	ti     TraceInst
+	branch bool // conditional branch: feeds the classifier's GBH
+}
+
+// newTraceTemplate decodes in's dependence registers, class and static
+// memory flags once.
+func newTraceTemplate(index int, in isa.Inst) traceTemplate {
+	ti := TraceInst{
+		Index: int32(index),
+		Class: in.Classify(),
+		Src1:  noReg, Src2: noReg, Dest: noReg,
+	}
+	var regs [2]isa.Register
+	srcs := make([]int8, 0, 4)
+	for _, r := range in.AppendSources(regs[:0]) {
+		if d := depReg(r, false); d != noReg {
+			srcs = append(srcs, d)
+		}
+	}
+	for _, r := range in.AppendFPSources(regs[:0]) {
+		srcs = append(srcs, depReg(r, true))
+	}
+	if len(srcs) > 0 {
+		ti.Src1 = srcs[0]
+	}
+	if len(srcs) > 1 {
+		ti.Src2 = srcs[1]
+	}
+	if d, ok := in.Dest(); ok {
+		ti.Dest = depReg(d, false)
+	} else if d, ok := in.FPDest(); ok {
+		ti.Dest = depReg(d, true)
+	}
+	if in.IsMem() {
+		ti.Flags |= FlagMem
+		if in.IsLoad() {
+			ti.Flags |= FlagLoad
+		}
+		if in.IsFPMem() {
+			ti.Flags |= FlagFPMem
+		}
+		if _, covered := core.StaticPredict(in); covered {
+			// $sp/$fp/$gp/constant addressing: the effective address
+			// is computable at dispatch in any machine (the base
+			// register is architecturally stable), so disambiguation
+			// need not wait for the AGU.
+			ti.Flags |= FlagEarlyAddr
+		}
+	}
+	return traceTemplate{ti: ti, branch: in.IsBranch()}
+}
+
 // BuildTrace runs program p functionally and produces its timing trace.
 func BuildTrace(p *prog.Program, opts TraceOptions) (*Trace, error) {
 	m, err := vm.New(vm.Config{Program: p, Out: opts.Out})
@@ -239,56 +300,23 @@ func BuildTrace(p *prog.Program, opts TraceOptions) (*Trace, error) {
 		}
 	}
 
-	tr := &Trace{Name: p.Name}
+	templates := make([]traceTemplate, len(p.Text))
+	for i, in := range p.Text {
+		templates[i] = newTraceTemplate(i, in)
+	}
+	// Full chunks, then the one being filled. The first chunk is no
+	// longer than the limit, so short traces cost no more than they hold.
+	var full [][]TraceInst
+	chunk := make([]TraceInst, 0, min(limit, traceChunk))
 	var vp valuePredictor
 	var ctx core.Context
 	var memRef uint64 // dynamic memory-reference ordinal for SteerFault
 
 	observe := func(ev vm.Event) {
-		in := ev.Inst
-		ti := TraceInst{
-			Index: int32(ev.Index),
-			Class: in.Classify(),
-			Src1:  noReg, Src2: noReg, Dest: noReg,
-		}
-
-		srcs := make([]int8, 0, 4)
-		for _, r := range in.Sources() {
-			if d := depReg(r, false); d != noReg {
-				srcs = append(srcs, d)
-			}
-		}
-		for _, r := range in.FPSources() {
-			srcs = append(srcs, depReg(r, true))
-		}
-		if len(srcs) > 0 {
-			ti.Src1 = srcs[0]
-		}
-		if len(srcs) > 1 {
-			ti.Src2 = srcs[1]
-		}
-		if d, ok := in.Dest(); ok {
-			ti.Dest = depReg(d, false)
-		} else if d, ok := in.FPDest(); ok {
-			ti.Dest = depReg(d, true)
-		}
-
-		if in.IsMem() {
-			ti.Flags |= FlagMem
-			if in.IsLoad() {
-				ti.Flags |= FlagLoad
-			}
-			if in.IsFPMem() {
-				ti.Flags |= FlagFPMem
-			}
+		tp := &templates[ev.Index]
+		ti := tp.ti
+		if ti.Flags&FlagMem != 0 {
 			ti.Addr = ev.MemAddr
-			if _, covered := core.StaticPredict(in); covered {
-				// $sp/$fp/$gp/constant addressing: the effective address
-				// is computable at dispatch in any machine (the base
-				// register is architecturally stable), so disambiguation
-				// need not wait for the AGU.
-				ti.Flags |= FlagEarlyAddr
-			}
 			actual := core.ActualOf(ev.Region)
 			if actual == core.PredictStack {
 				ti.Flags |= FlagStack
@@ -300,7 +328,7 @@ func BuildTrace(p *prog.Program, opts TraceOptions) (*Trace, error) {
 				cls.Stats.Correct++
 			} else {
 				ctx.CID = m.Reg(isa.RA)
-				pred = cls.Classify(ev.Index, ev.PC, in, ctx, actual)
+				pred = cls.Classify(ev.Index, ev.PC, ev.Inst, ctx, actual)
 			}
 			if opts.SteerFault != nil {
 				pred = opts.SteerFault(memRef, pred)
@@ -310,7 +338,7 @@ func BuildTrace(p *prog.Program, opts TraceOptions) (*Trace, error) {
 				ti.Flags |= FlagPredStack
 			}
 		}
-		if in.IsBranch() {
+		if tp.branch {
 			ctx.UpdateGBH(ev.Taken)
 		}
 
@@ -322,7 +350,11 @@ func BuildTrace(p *prog.Program, opts TraceOptions) (*Trace, error) {
 			}
 		}
 
-		tr.Insts = append(tr.Insts, ti)
+		if len(chunk) == cap(chunk) {
+			full = append(full, chunk)
+			chunk = make([]TraceInst, 0, traceChunk)
+		}
+		chunk = append(chunk, ti)
 	}
 	for !m.Halted() && m.Seq() < limit {
 		ev, err := m.Step()
@@ -334,7 +366,15 @@ func BuildTrace(p *prog.Program, opts TraceOptions) (*Trace, error) {
 			opts.Observer(ev)
 		}
 	}
-	tr.PredictorStats = cls.Stats
+
+	tr := &Trace{Name: p.Name, Insts: chunk, PredictorStats: cls.Stats}
+	if len(full) > 0 {
+		tr.Insts = make([]TraceInst, 0, len(full)*traceChunk+len(chunk))
+		for _, c := range full {
+			tr.Insts = append(tr.Insts, c...)
+		}
+		tr.Insts = append(tr.Insts, chunk...)
+	}
 	if opts.Final != nil {
 		opts.Final(m)
 	}

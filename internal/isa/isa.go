@@ -364,59 +364,62 @@ func (i Inst) MemSize() int {
 	return 0
 }
 
-// Sources returns the integer registers the instruction reads. FP
-// register reads are reported by FPSources.
-func (i Inst) Sources() []Register {
+// AppendSources appends the integer registers the instruction reads
+// (at most two) to dst and returns the extended slice; with a
+// stack-backed dst it does not allocate. FP register reads are
+// reported by AppendFPSources.
+func (i Inst) AppendSources(dst []Register) []Register {
 	switch i.Op {
 	case OpNop, OpJ, OpJAL, OpLUI:
-		return nil
+		return dst
 	case OpReg:
-		return []Register{i.Rs, i.Rt}
+		return append(dst, i.Rs, i.Rt)
 	case OpFP:
 		switch i.Funct {
 		case FnCVTSW, FnMTC1:
-			return []Register{i.Rs}
+			return append(dst, i.Rs)
 		default:
-			return nil
+			return dst
 		}
 	case OpLB, OpLBU, OpLH, OpLHU, OpLW, OpLWC1:
-		return []Register{i.Rs}
+		return append(dst, i.Rs)
 	case OpSB, OpSH, OpSW:
-		return []Register{i.Rs, i.Rd}
+		return append(dst, i.Rs, i.Rd)
 	case OpSWC1:
-		return []Register{i.Rs}
+		return append(dst, i.Rs)
 	case OpADDI, OpANDI, OpORI, OpXORI, OpSLTI, OpSLLI, OpSRLI, OpSRAI:
-		return []Register{i.Rs}
+		return append(dst, i.Rs)
 	case OpBEQ, OpBNE:
 		// I-format: the second comparison operand is carried in Rd.
-		return []Register{i.Rs, i.Rd}
+		return append(dst, i.Rs, i.Rd)
 	case OpBLEZ, OpBGTZ, OpBLTZ, OpBGEZ:
-		return []Register{i.Rs}
+		return append(dst, i.Rs)
 	case OpJR, OpJALR:
-		return []Register{i.Rs}
+		return append(dst, i.Rs)
 	case OpSYSCALL:
 		// By convention syscalls read $v0 and $a0.
-		return []Register{V0, A0}
+		return append(dst, V0, A0)
 	}
-	return nil
+	return dst
 }
 
-// FPSources returns the floating-point registers the instruction reads.
-func (i Inst) FPSources() []Register {
+// AppendFPSources appends the floating-point registers the instruction
+// reads (at most two) to dst and returns the extended slice.
+func (i Inst) AppendFPSources(dst []Register) []Register {
 	switch i.Op {
 	case OpFP:
 		switch i.Funct {
 		case FnFNEG, FnFABS, FnFSQRT, FnCVTWS, FnMFC1:
-			return []Register{i.Rs}
+			return append(dst, i.Rs)
 		case FnCVTSW, FnMTC1:
-			return nil
+			return dst
 		default:
-			return []Register{i.Rs, i.Rt}
+			return append(dst, i.Rs, i.Rt)
 		}
 	case OpSWC1:
-		return []Register{i.Rd}
+		return append(dst, i.Rd)
 	}
-	return nil
+	return dst
 }
 
 // Dest returns the integer destination register, or ok=false when the

@@ -91,9 +91,12 @@ func TestMemIntrospection(t *testing.T) {
 func TestSourcesAndDests(t *testing.T) {
 	// sw $t1, 8($sp): reads sp (base) and t1 (data), writes nothing.
 	sw := Inst{Op: OpSW, Rd: T1, Rs: SP, Imm: 8}
-	srcs := sw.Sources()
+	srcs := sw.AppendSources(nil)
 	if len(srcs) != 2 || srcs[0] != SP || srcs[1] != T1 {
 		t.Errorf("sw sources = %v", srcs)
+	}
+	if srcs := sw.AppendSources([]Register{RA}); len(srcs) != 3 || srcs[0] != RA || srcs[2] != T1 {
+		t.Errorf("sw sources appended to [ra] = %v", srcs)
 	}
 	if _, ok := sw.Dest(); ok {
 		t.Error("sw has a dest")
@@ -109,7 +112,7 @@ func TestSourcesAndDests(t *testing.T) {
 	}
 	// s.s reads the FP data register.
 	ss := Inst{Op: OpSWC1, Rd: 5, Rs: SP}
-	if fs := ss.FPSources(); len(fs) != 1 || fs[0] != 5 {
+	if fs := ss.AppendFPSources(nil); len(fs) != 1 || fs[0] != 5 {
 		t.Errorf("s.s fp sources = %v", fs)
 	}
 	// add.s writes an FP register.
@@ -125,7 +128,7 @@ func TestSourcesAndDests(t *testing.T) {
 	if d, ok := clt.Dest(); !ok || d != T0 {
 		t.Error("c.lt.s int dest")
 	}
-	if fs := clt.FPSources(); len(fs) != 2 {
+	if fs := clt.AppendFPSources(nil); len(fs) != 2 {
 		t.Errorf("c.lt.s fp sources = %v", fs)
 	}
 }

@@ -2,8 +2,9 @@
 // executes a program on the functional simulator and collects, per
 // static memory instruction, the set of regions it accesses (Figure 2),
 // per-benchmark dynamic instruction mixes (Table 1), sliding-window
-// per-region access distributions (Table 2), and the profile oracle the
-// paper used as its upper-bound "compiler information" (§3.5.2).
+// per-region access distributions (Table 2, counted as histograms of
+// window populations), and the profile oracle the paper used as its
+// upper-bound "compiler information" (§3.5.2).
 package profile
 
 import (
@@ -44,6 +45,86 @@ func (w *WindowStat) StdDev(r region.Region) float64 { return w.Regions[r].StdDe
 // standard deviation.
 func (w *WindowStat) StrictlyBursty(r region.Region) bool {
 	return w.Mean(r) < w.StdDev(r)
+}
+
+// noRegion marks an instruction that accessed no memory in the window
+// counter's ring.
+const noRegion = uint8(region.Count)
+
+// windowCounter counts Table 2's trailing windows as histograms: ring
+// holds the region of each of the last len(ring) instructions
+// (noRegion for non-memory ones), counts[k] the per-region population
+// of the trailing sizes[k] window, and hist[k][r][c] how many warm
+// windows held c references to region r. A step is a few integer
+// increments per window size; the moments are taken once, at the end.
+// Every ring slot a step reads was written sizes[k] steps earlier.
+type windowCounter struct {
+	sizes  []int
+	ring   []uint8
+	mask   uint64
+	seq    uint64                   // instructions stepped so far
+	counts [][region.Count + 1]int  // slot noRegion absorbs non-memory steps
+	hist   [][region.Count][]uint64 // indexed [k][r][population]
+}
+
+func newWindowCounter(sizes []int) (*windowCounter, error) {
+	ringLen := 1
+	for _, size := range sizes {
+		if size <= 0 {
+			return nil, fmt.Errorf("profile: invalid window size %d", size)
+		}
+		for ringLen < size {
+			ringLen <<= 1
+		}
+	}
+	w := &windowCounter{
+		sizes:  sizes,
+		ring:   make([]uint8, ringLen),
+		mask:   uint64(ringLen - 1),
+		counts: make([][region.Count + 1]int, len(sizes)),
+		hist:   make([][region.Count][]uint64, len(sizes)),
+	}
+	for k, size := range sizes {
+		for r := range w.hist[k] {
+			w.hist[k][r] = make([]uint64, size+1)
+		}
+	}
+	return w, nil
+}
+
+// step advances every window by one instruction that accessed region
+// cur (noRegion for none) and records each warm window's populations.
+func (w *windowCounter) step(cur uint8) {
+	seq := w.seq
+	w.seq++
+	for k, size := range w.sizes {
+		c := &w.counts[k]
+		c[cur]++
+		if seq >= uint64(size) {
+			// Read before the ring write below: the longest window's
+			// leaving slot may be the one cur is stored in.
+			c[w.ring[(seq-uint64(size))&w.mask]]--
+		}
+		if seq+1 >= uint64(size) {
+			h := &w.hist[k]
+			for r := 0; r < region.Count; r++ {
+				h[r][c[r]]++
+			}
+		}
+	}
+	w.ring[seq&w.mask] = cur
+}
+
+// stats returns one WindowStat per window size.
+func (w *windowCounter) stats() []WindowStat {
+	out := make([]WindowStat, len(w.sizes))
+	for k, size := range w.sizes {
+		out[k].Size = size
+		for r := range w.hist[k] {
+			out[k].Regions[r] = stats.FromHist(w.hist[k][r])
+		}
+	}
+	return out
 }
 
 // Profile is the result of profiling one program run.
@@ -98,28 +179,15 @@ func RunContext(ctx context.Context, p *prog.Program, maxInsts uint64, out io.Wr
 		Name:    p.Name,
 		PerInst: make([]InstProfile, len(p.Text)),
 	}
-	type winTrack struct {
-		ws   [region.Count]*stats.Window
-		stat *WindowStat
-	}
-	tracks := make([]winTrack, len(WindowSizes))
-	pr.Windows = make([]WindowStat, len(WindowSizes))
-	for i, size := range WindowSizes {
-		pr.Windows[i].Size = size
-		tracks[i].stat = &pr.Windows[i]
-		for r := 0; r < region.Count; r++ {
-			w, err := stats.NewWindow(size)
-			if err != nil {
-				return nil, fmt.Errorf("profile: %w", err)
-			}
-			tracks[i].ws[r] = w
-		}
+	win, err := newWindowCounter(WindowSizes)
+	if err != nil {
+		return nil, err
 	}
 
 	observe := func(ev vm.Event) {
 		pr.DynInsts++
-		isMem := ev.Inst.IsMem()
-		if isMem {
+		cur := noRegion
+		if ev.Inst.IsMem() {
 			if ev.Inst.IsLoad() {
 				pr.DynLoads++
 			} else {
@@ -129,17 +197,9 @@ func RunContext(ctx context.Context, p *prog.Program, maxInsts uint64, out io.Wr
 			ip.Regions = ip.Regions.Add(ev.Region)
 			ip.Count++
 			pr.RegionRefs[ev.Region]++
+			cur = uint8(ev.Region)
 		}
-		for ti := range tracks {
-			tr := &tracks[ti]
-			for r := 0; r < region.Count; r++ {
-				hit := isMem && ev.Region == region.Region(r)
-				n := tr.ws[r].Step(hit)
-				if tr.ws[r].Warm() {
-					tr.stat.Regions[r].Add(float64(n))
-				}
-			}
-		}
+		win.step(cur)
 	}
 	for !m.Halted() && m.Seq() < limit {
 		ev, err := m.Step()
@@ -148,6 +208,7 @@ func RunContext(ctx context.Context, p *prog.Program, maxInsts uint64, out io.Wr
 		}
 		observe(ev)
 	}
+	pr.Windows = win.stats()
 	pr.ExitCode = m.ExitCode()
 	return pr, nil
 }

@@ -1,8 +1,6 @@
 // Package stats provides the small statistics toolkit used throughout the
-// simulator: counters, running mean/standard deviation accumulators,
-// integer histograms, and the sliding-window accumulator that backs the
-// paper's Table 2 (per-region access counts over the last 32/64
-// instructions).
+// simulator: counters, running mean/standard deviation accumulators and
+// integer histograms.
 package stats
 
 import (
@@ -35,6 +33,28 @@ func (r *Running) AddN(x float64, n uint64) {
 	for i := uint64(0); i < n; i++ {
 		r.Add(x)
 	}
+}
+
+// FromHist returns the Running that observing value k hist[k] times,
+// for every k, would accumulate. It sums in integers where it can and
+// takes the second moment about the exact-sum mean, so it matches
+// Welford's running result to rounding, not bit for bit.
+func FromHist(hist []uint64) Running {
+	var n, sum uint64
+	for k, h := range hist {
+		n += h
+		sum += uint64(k) * h
+	}
+	if n == 0 {
+		return Running{}
+	}
+	mean := float64(sum) / float64(n)
+	var m2 float64
+	for k, h := range hist {
+		d := float64(k) - mean
+		m2 += float64(h) * d * d
+	}
+	return Running{n: n, mean: mean, m2: m2}
 }
 
 // N reports the number of observations.
@@ -166,55 +186,6 @@ func (h *Hist) String() string {
 	}
 	return strings.TrimSpace(b.String())
 }
-
-// Window counts how many of the last Size events were "hits" (e.g. memory
-// accesses to one region within the last 32 retired instructions). Every
-// Step(hit) both advances the window one event and reports the current
-// hit population, which the caller typically feeds into a Running.
-type Window struct {
-	size  int
-	ring  []bool
-	pos   int
-	count int
-	warm  int
-}
-
-// NewWindow returns a sliding window over the last size events. It
-// returns an error if size is not positive.
-func NewWindow(size int) (*Window, error) {
-	if size <= 0 {
-		return nil, fmt.Errorf("stats: invalid window size %d", size)
-	}
-	return &Window{size: size, ring: make([]bool, size)}, nil
-}
-
-// Size reports the window length.
-func (w *Window) Size() int { return w.size }
-
-// Step pushes one event (hit or miss) into the window and returns the
-// number of hits among the last Size events.
-func (w *Window) Step(hit bool) int {
-	if w.ring[w.pos] {
-		w.count--
-	}
-	w.ring[w.pos] = hit
-	if hit {
-		w.count++
-	}
-	w.pos = (w.pos + 1) % w.size
-	if w.warm < w.size {
-		w.warm++
-	}
-	return w.count
-}
-
-// Count reports the current number of hits in the window.
-func (w *Window) Count() int { return w.count }
-
-// Warm reports true once Size events have been observed, i.e. once the
-// window content is meaningful. The Table 2 profiler only samples warm
-// windows so start-up transients do not bias the distribution.
-func (w *Window) Warm() bool { return w.warm >= w.size }
 
 // Ratio is a convenience pair of counters reporting hits/total.
 type Ratio struct {

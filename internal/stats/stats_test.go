@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/seeded"
 )
 
 func TestRunningBasics(t *testing.T) {
@@ -92,79 +94,48 @@ func TestHist(t *testing.T) {
 	}
 }
 
-func TestWindowCounts(t *testing.T) {
-	w := mustWindow(t, 4)
-	seq := []bool{true, false, true, true, false, false, false, false}
-	want := []int{1, 1, 2, 3, 2, 2, 1, 0}
-	for i, hit := range seq {
-		if got := w.Step(hit); got != want[i] {
-			t.Errorf("step %d: count = %d, want %d", i, got, want[i])
-		}
-	}
-	if !w.Warm() {
-		t.Error("window should be warm after size steps")
-	}
-}
-
-func TestWindowWarmup(t *testing.T) {
-	w := mustWindow(t, 3)
-	w.Step(true)
-	w.Step(true)
-	if w.Warm() {
-		t.Error("warm too early")
-	}
-	w.Step(false)
-	if !w.Warm() {
-		t.Error("not warm after 3 steps")
-	}
-}
-
-func mustWindow(t *testing.T, size int) *Window {
-	t.Helper()
-	w, err := NewWindow(size)
-	if err != nil {
-		t.Fatalf("NewWindow(%d): %v", size, err)
-	}
-	return w
-}
-
-func TestWindowRejectsBadSize(t *testing.T) {
-	for _, size := range []int{0, -1, -100} {
-		if _, err := NewWindow(size); err == nil {
-			t.Errorf("NewWindow(%d) accepted", size)
-		}
-	}
-}
-
-// Property: window count is always in [0, size] and equals the number
-// of true values among the last `size` inputs.
-func TestWindowCountProperty(t *testing.T) {
-	f := func(bits []bool) bool {
-		const size = 8
-		w, err := NewWindow(size)
-		if err != nil {
-			return false
-		}
-		for i, b := range bits {
-			got := w.Step(b)
-			lo := i - size + 1
-			if lo < 0 {
-				lo = 0
+// TestFromHistMatchesRunning: a Running built from a histogram must
+// agree with one fed the same observations through Add, to rounding.
+func TestFromHistMatchesRunning(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := seeded.Stream(seed)
+		width := 2 + rng.Intn(64)     // values 0..width-1, like a window count
+		bias := rng.Intn(width)       // skewed toward one value
+		n := 1 + rng.Intn(200_000)    // stream length
+		hist := make([]uint64, width) // observations per value
+		var want Running
+		for i := uint64(0); i < n; i++ {
+			v := rng.Intn(width)
+			if rng.Intn(4) != 0 {
+				v = bias
 			}
-			want := 0
-			for _, x := range bits[lo : i+1] {
-				if x {
-					want++
-				}
-			}
-			if got != want {
-				return false
+			hist[v]++
+			want.Add(float64(v))
+		}
+		got := FromHist(hist)
+		if got.N() != want.N() {
+			t.Fatalf("seed %d: n = %d, want %d", seed, got.N(), want.N())
+		}
+		for _, c := range []struct {
+			what      string
+			got, want float64
+		}{
+			{"mean", got.Mean(), want.Mean()},
+			{"variance", got.Variance(), want.Variance()},
+			{"stddev", got.StdDev(), want.StdDev()},
+		} {
+			if d := math.Abs(c.got - c.want); d > 1e-12*math.Abs(c.want) {
+				t.Errorf("seed %d: %s = %.17g, Running.Add gives %.17g", seed, c.what, c.got, c.want)
 			}
 		}
-		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+}
+
+func TestFromHistEmpty(t *testing.T) {
+	for _, hist := range [][]uint64{nil, {}, make([]uint64, 65)} {
+		if r := FromHist(hist); r != (Running{}) {
+			t.Errorf("FromHist(%v) = %v, want the empty Running", hist, &r)
+		}
 	}
 }
 
