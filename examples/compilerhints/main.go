@@ -100,11 +100,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	err = core.Trace(m, func(ev core.RefEvent) {
+	err = m.Run(core.Refs(m, func(ev core.RefEvent) {
 		none.Classify(ev.Index, ev.PC, ev.Inst, ev.Ctx, ev.Actual)
 		compiler.Classify(ev.Index, ev.PC, ev.Inst, ev.Ctx, ev.Actual)
 		oracleC.Classify(ev.Index, ev.PC, ev.Inst, ev.Ctx, ev.Actual)
-	})
+	}))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -69,9 +69,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	err = core.Trace(m, func(ev core.RefEvent) {
+	// core.Refs turns the VM's instruction stream into memory
+	// references carrying the fetch-stage context (GBH and CID).
+	err = m.Run(core.Refs(m, func(ev core.RefEvent) {
 		cls.Classify(ev.Index, ev.PC, ev.Inst, ev.Ctx, ev.Actual)
-	})
+	}))
 	if err != nil {
 		log.Fatal(err)
 	}

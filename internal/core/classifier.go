@@ -197,12 +197,14 @@ type RefEvent struct {
 	Actual Prediction
 }
 
-// Trace runs machine m to completion, maintaining the global branch
-// history and caller identification, and invokes handle for every
-// dynamic memory reference. Several classifiers can share one trace.
-func Trace(m *vm.Machine, handle func(RefEvent)) error {
+// Refs adapts a functional run of m into its memory-reference stream:
+// the returned observer (pass it to m.Run or m.RunUntil) maintains the
+// global branch history and caller identification, and invokes handle
+// for every dynamic memory reference. Several classifiers can share
+// one stream.
+func Refs(m *vm.Machine, handle func(RefEvent)) func(vm.Event) {
 	var ctx Context
-	return m.Run(func(ev vm.Event) {
+	return func(ev vm.Event) {
 		if ev.Inst.IsMem() {
 			ctx.CID = m.Reg(isa.RA)
 			handle(RefEvent{
@@ -217,5 +219,5 @@ func Trace(m *vm.Machine, handle func(RefEvent)) error {
 		if ev.Inst.IsBranch() {
 			ctx.UpdateGBH(ev.Taken)
 		}
-	})
+	}
 }

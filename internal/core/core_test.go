@@ -273,11 +273,11 @@ int main() {
 	hybrid, _ := NewClassifier(ClassifierConfig{Scheme: Scheme1BitHybrid})
 	all := []*Classifier{static, oneBit, hybrid}
 
-	err = Trace(m, func(ev RefEvent) {
+	err = m.Run(Refs(m, func(ev RefEvent) {
 		for _, c := range all {
 			c.Classify(ev.Index, ev.PC, ev.Inst, ev.Ctx, ev.Actual)
 		}
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ int main() {
 }
 
 func core_trace(m *vm.Machine, c *Classifier) error {
-	return Trace(m, func(ev RefEvent) {
+	return m.Run(Refs(m, func(ev RefEvent) {
 		c.Classify(ev.Index, ev.PC, ev.Inst, ev.Ctx, ev.Actual)
-	})
+	}))
 }

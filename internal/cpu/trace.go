@@ -120,10 +120,10 @@ type TraceOptions struct {
 	// steering-policy ablations.
 	PerfectSteering bool
 
-	// Ctx cancels trace generation cooperatively: it is checked every
-	// few thousand instructions and surfaces (wrapped) through the
-	// returned error, so a per-workload watchdog deadline aborts the
-	// functional pre-pass cleanly. Nil means no cancellation.
+	// Ctx cancels trace generation cooperatively: vm.Machine.RunUntil
+	// polls it, and it surfaces (wrapped) through the returned error,
+	// so a per-workload watchdog deadline aborts the functional
+	// pre-pass cleanly. Nil means no cancellation.
 	Ctx context.Context
 
 	// SteerFault perturbs the steering prediction of the n-th dynamic
@@ -263,28 +263,13 @@ func newTraceTemplate(index int, in isa.Inst) traceTemplate {
 
 // BuildTrace runs program p functionally and produces its timing trace.
 func BuildTrace(p *prog.Program, opts TraceOptions) (*Trace, error) {
-	m, err := vm.New(vm.Config{Program: p, Out: opts.Out})
+	m, err := vm.New(vm.Config{Program: p, Out: opts.Out}, vm.WithFaultHook(opts.VMFault))
 	if err != nil {
 		return nil, err
 	}
 	limit := opts.MaxInsts
 	if limit == 0 {
 		limit = vm.DefaultMaxInsts
-	}
-	m.MaxInsts = limit + 1 // the loop below truncates before the VM faults
-	if opts.Ctx != nil || opts.VMFault != nil {
-		ctx, vmFault := opts.Ctx, opts.VMFault
-		m.FaultHook = func(seq uint64, pc uint32) error {
-			if ctx != nil && seq&0x3FF == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			if vmFault != nil {
-				return vmFault(seq, pc)
-			}
-			return nil
-		}
 	}
 	cls := opts.Classifier
 	if cls == nil {
@@ -355,16 +340,12 @@ func BuildTrace(p *prog.Program, opts TraceOptions) (*Trace, error) {
 			chunk = make([]TraceInst, 0, traceChunk)
 		}
 		chunk = append(chunk, ti)
-	}
-	for !m.Halted() && m.Seq() < limit {
-		ev, err := m.Step()
-		if err != nil {
-			return nil, fmt.Errorf("cpu: trace generation: %w", err)
-		}
-		observe(ev)
 		if opts.Observer != nil {
 			opts.Observer(ev)
 		}
+	}
+	if err := m.RunUntil(opts.Ctx, limit, observe); err != nil {
+		return nil, fmt.Errorf("cpu: trace generation: %w", err)
 	}
 
 	tr := &Trace{Name: p.Name, Insts: chunk, PredictorStats: cls.Stats}

@@ -51,15 +51,11 @@ func (r *Runner) RecoveryStorm(seed uint64, rates []float64, penalties []int) ([
 			}
 			r.logf("storming %s at rate %.3f ...", w.Name, rate)
 			serr := r.stage(w.Name, fmt.Sprintf("storm %.3f", rate), func(ctx context.Context) error {
-				watched := r.watched()
-				opts := cpu.TraceOptions{
+				tr, err := cpu.BuildTrace(p, cpu.TraceOptions{
 					MaxInsts:   r.MaxInsts,
 					SteerFault: faultinject.Storm(seed, rate),
-				}
-				if watched {
-					opts.Ctx = ctx
-				}
-				tr, err := cpu.BuildTrace(p, opts)
+					Ctx:        ctx,
+				})
 				if err != nil {
 					return &WorkloadError{Workload: w.Name, Stage: "storm trace", Err: err}
 				}
@@ -67,11 +63,7 @@ func (r *Runner) RecoveryStorm(seed uint64, rates []float64, penalties []int) ([
 					cfg := cpu.Decoupled(3, 3)
 					cfg.MispredictPenalty = pen
 					rec := decouple.NewRecovery()
-					simOpts := []cpu.Option{cpu.WithRecovery(rec)}
-					if watched {
-						simOpts = append(simOpts, cpu.WithContext(ctx))
-					}
-					sim, err := cpu.New(cfg, simOpts...)
+					sim, err := cpu.New(cfg, cpu.WithRecovery(rec), cpu.WithContext(ctx))
 					if err != nil {
 						return &WorkloadError{Workload: w.Name, Stage: "storm simulate", Err: err}
 					}

@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 	"testing"
+	"time"
 )
 
 var updateFunctional = flag.Bool("update", false, "rewrite testdata/functional_150k.golden")
@@ -96,5 +99,75 @@ func TestFunctionalPassesGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("functional tables diverge from %s:\n got:\n%s\nwant:\n%s", path, got, want)
+	}
+}
+
+// TestFunctionalPassesHonourWatchdog checks that each functional pass
+// runs as a Runner stage: the per-stage watchdog stops it and Degrade
+// records the timeout as a WorkloadError naming the pass, and a
+// cancelled Runner.Ctx aborts it. The instruction budget is far beyond
+// the programs' length, so only the watchdog can produce these errors.
+func TestFunctionalPassesHonourWatchdog(t *testing.T) {
+	passes := []struct {
+		stage string
+		run   func(r *Runner) (rows int, err error)
+	}{
+		{"predictor", func(r *Runner) (int, error) {
+			s, err := r.RunPredictorStudy()
+			if err != nil {
+				return 0, err
+			}
+			return len(s.Figure4), nil
+		}},
+		{"contexts", func(r *Runner) (int, error) {
+			rows, err := r.ContextSweep([]int{0, 8}, []int{0, 7})
+			return len(rows), err
+		}},
+		{"lvc", func(r *Runner) (int, error) {
+			rows, err := r.LVCHitRate()
+			return len(rows), err
+		}},
+		{"static-hints", func(r *Runner) (int, error) {
+			rows, err := r.StaticHintStudy()
+			return len(rows), err
+		}},
+	}
+	for _, pass := range passes {
+		t.Run(pass.stage, func(t *testing.T) {
+			r := quickRunner(t, "compress", "li")
+			r.MaxInsts = 20_000
+			for _, w := range r.Workloads {
+				if _, err := r.Profile(w); err != nil { // warms Program and Profile unwatched
+					t.Fatal(err)
+				}
+			}
+
+			r.MaxInsts = 1 << 40
+			r.WorkloadTimeout = time.Nanosecond
+			r.Degrade = true
+			n, err := pass.run(r)
+			if err != nil {
+				t.Fatalf("degraded batch aborted: %v", err)
+			}
+			if n != 0 {
+				t.Fatalf("got %d rows, want none: every pass should have timed out", n)
+			}
+			errs := r.Errors()
+			if len(errs) != len(r.Workloads) {
+				t.Fatalf("recorded %d errors, want one per workload: %v", len(errs), errs)
+			}
+			for _, we := range errs {
+				if !we.Timeout() || we.Stage != pass.stage {
+					t.Fatalf("error %v: timeout %v, stage %q; want a %q timeout", we, we.Timeout(), we.Stage, pass.stage)
+				}
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			r.Ctx, r.WorkloadTimeout, r.Degrade = ctx, 0, false
+			if _, err := pass.run(r); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/isa"
 	"repro/internal/prog"
 	"repro/internal/vm"
 	"repro/internal/workload"
@@ -190,46 +189,22 @@ func (r *Runner) RunPredictorStudy() (*PredictorStudy, error) {
 // workload and extracts its Figure 4 / Table 3 / Figure 5 / E9 rows.
 func (r *Runner) predictorPass(w *workload.Workload) (predictorRows, error) {
 	var rows predictorRows
-	p, err := r.Program(w)
-	if err != nil {
-		return rows, err
-	}
 	pr, err := r.Profile(w) // memoized; supplies the oracle
 	if err != nil {
 		return rows, err
 	}
-	cs, err := buildClassifiers(p, pr.Oracle())
-	if err != nil {
-		return rows, err
-	}
-
+	oracle := pr.Oracle()
 	r.logf("predictor study %s ...", w.Name)
-	m, err := vm.New(vm.Config{Program: p})
+	var cs *classifierSet
+	err = r.pass(w, "predictor", func(m *vm.Machine) (func(vm.Event), error) {
+		var err error
+		if cs, err = buildClassifiers(m.Prog, oracle); err != nil {
+			return nil, err
+		}
+		return core.Refs(m, cs.classify), nil
+	})
 	if err != nil {
 		return rows, err
-	}
-	limit := r.MaxInsts
-	if limit == 0 {
-		limit = vm.DefaultMaxInsts
-	}
-	m.MaxInsts = limit + 1
-	var ctx core.Context
-	for !m.Halted() && m.Seq() < limit {
-		ev, err := m.Step()
-		if err != nil {
-			return rows, fmt.Errorf("%s: %w", w.Name, err)
-		}
-		if ev.Inst.IsMem() {
-			ctx.CID = m.Reg(isa.RA)
-			cs.classify(core.RefEvent{
-				Index: ev.Index, PC: ev.PC, Addr: ev.MemAddr,
-				Inst: ev.Inst, Ctx: ctx,
-				Actual: core.ActualOf(ev.Region),
-			})
-		}
-		if ev.Inst.IsBranch() {
-			ctx.UpdateGBH(ev.Taken)
-		}
 	}
 
 	// Figure 4.
@@ -274,56 +249,37 @@ func (r *Runner) predictorPass(w *workload.Workload) (predictorRows, error) {
 // grouped in workload order.
 func (r *Runner) ContextSweep(gbhWidths, cidWidths []int) ([]ContextRow, error) {
 	perW, err := forEach(r, func(w *workload.Workload) ([]ContextRow, error) {
-		var rows []ContextRow
-		p, err := r.Program(w)
-		if err != nil {
-			return nil, err
-		}
 		type cell struct {
 			gbh, cid int
 			c        *core.Classifier
 		}
 		var cells []cell
-		for _, g := range gbhWidths {
-			for _, ci := range cidWidths {
-				cfg := core.Config{Bits: 1, GBHBits: g, CIDBits: ci}
-				t, err := core.NewARPT(cfg)
-				if err != nil {
-					return nil, err
+		err := r.pass(w, "contexts", func(m *vm.Machine) (func(vm.Event), error) {
+			cells = nil
+			for _, g := range gbhWidths {
+				for _, ci := range cidWidths {
+					t, err := core.NewARPT(core.Config{Bits: 1, GBHBits: g, CIDBits: ci})
+					if err != nil {
+						return nil, err
+					}
+					c, err := core.NewClassifier(
+						core.ClassifierConfig{Scheme: core.Scheme1BitHybrid}, core.WithTable(t))
+					if err != nil {
+						return nil, err
+					}
+					cells = append(cells, cell{g, ci, c})
 				}
-				c, err := core.NewClassifier(
-					core.ClassifierConfig{Scheme: core.Scheme1BitHybrid}, core.WithTable(t))
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, cell{g, ci, c})
 			}
-		}
-		m, err := vm.New(vm.Config{Program: p})
+			return core.Refs(m, func(ev core.RefEvent) {
+				for _, cl := range cells {
+					cl.c.Classify(ev.Index, ev.PC, ev.Inst, ev.Ctx, ev.Actual)
+				}
+			}), nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		limit := r.MaxInsts
-		if limit == 0 {
-			limit = vm.DefaultMaxInsts
-		}
-		m.MaxInsts = limit + 1
-		var ctx core.Context
-		for !m.Halted() && m.Seq() < limit {
-			ev, err := m.Step()
-			if err != nil {
-				return nil, err
-			}
-			if ev.Inst.IsMem() {
-				ctx.CID = m.Reg(isa.RA)
-				for _, cl := range cells {
-					cl.c.Classify(ev.Index, ev.PC, ev.Inst, ctx, core.ActualOf(ev.Region))
-				}
-			}
-			if ev.Inst.IsBranch() {
-				ctx.UpdateGBH(ev.Taken)
-			}
-		}
+		rows := make([]ContextRow, 0, len(cells))
 		for _, cl := range cells {
 			rows = append(rows, ContextRow{
 				Name: w.Name, GBHBits: cl.gbh, CIDBits: cl.cid,

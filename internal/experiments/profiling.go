@@ -151,31 +151,20 @@ type LVCRow struct {
 // references into a fresh LVC model.
 func (r *Runner) LVCHitRate() ([]LVCRow, error) {
 	return forEach(r, func(w *workload.Workload) (LVCRow, error) {
-		p, err := r.Program(w)
-		if err != nil {
-			return LVCRow{}, err
-		}
-		m, err := vm.New(vm.Config{Program: p})
-		if err != nil {
-			return LVCRow{}, err
-		}
-		limit := r.MaxInsts
-		if limit == 0 {
-			limit = vm.DefaultMaxInsts
-		}
-		m.MaxInsts = limit + 1
-		lvc, err := cache.New(cache.LVCConfig(1))
-		if err != nil {
-			return LVCRow{}, err
-		}
-		for !m.Halted() && m.Seq() < limit {
-			ev, err := m.Step()
-			if err != nil {
-				return LVCRow{}, err
+		var lvc *cache.Cache
+		err := r.pass(w, "lvc", func(*vm.Machine) (func(vm.Event), error) {
+			var err error
+			if lvc, err = cache.New(cache.LVCConfig(1)); err != nil {
+				return nil, err
 			}
-			if ev.Inst.IsMem() && ev.Region == region.Stack {
-				lvc.Access(ev.MemAddr, ev.Inst.IsStore())
-			}
+			return func(ev vm.Event) {
+				if ev.Inst.IsMem() && ev.Region == region.Stack {
+					lvc.Access(ev.MemAddr, ev.Inst.IsStore())
+				}
+			}, nil
+		})
+		if err != nil {
+			return LVCRow{}, err
 		}
 		st := lvc.Stats()
 		return LVCRow{Name: w.Name, StackRefs: st.Accesses, HitRate: st.HitRate()}, nil

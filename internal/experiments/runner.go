@@ -31,14 +31,15 @@ import (
 	"repro/internal/prog"
 	"repro/internal/resilience"
 	"repro/internal/store"
+	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
 // WorkloadError is one workload's failure inside an experiment batch:
 // which workload, which pipeline stage (compile, profile, trace,
-// simulate), and the underlying cause. With Runner.Degrade set,
-// drivers record these and drop the workload's rows instead of
-// aborting the whole batch.
+// simulate, or a functional pass such as predictor or lvc), and the
+// underlying cause. With Runner.Degrade set, drivers record these and
+// drop the workload's rows instead of aborting the whole batch.
 type WorkloadError struct {
 	Workload string
 	Stage    string
@@ -78,8 +79,9 @@ type Runner struct {
 	// functional runs and simulations poll it cooperatively.
 	Ctx context.Context
 	// WorkloadTimeout, when positive, is the per-stage watchdog: each
-	// profile, trace build, and simulation of one workload gets its
-	// own deadline, so a single wedged workload cannot stall a batch.
+	// profile, functional pass, trace build, and simulation of one
+	// workload gets its own deadline, so a single wedged workload
+	// cannot stall a batch.
 	WorkloadTimeout time.Duration
 	// Degrade turns per-workload failures into recorded
 	// WorkloadErrors (see Errors) instead of batch aborts; drivers
@@ -286,13 +288,6 @@ func (r *Runner) ctx() context.Context {
 		return r.Ctx
 	}
 	return context.Background()
-}
-
-// watched reports whether cooperative cancellation is worth installing
-// in functional runs and simulations: there is a campaign context, a
-// per-stage watchdog, or a per-attempt deadline that could fire.
-func (r *Runner) watched() bool {
-	return r.Ctx != nil || r.WorkloadTimeout > 0 || r.Retry.AttemptTimeout > 0
 }
 
 // stage runs one named pipeline step of one workload under the
@@ -551,10 +546,7 @@ func (r *Runner) trace(w *workload.Workload, memoKey, storeCfg string,
 		r.logf("tracing %s ...", w.Name)
 		var tr *cpu.Trace
 		err = r.stage(w.Name, "trace", func(ctx context.Context) error {
-			opts := cpu.TraceOptions{MaxInsts: r.MaxInsts}
-			if r.watched() {
-				opts.Ctx = ctx
-			}
+			opts := cpu.TraceOptions{MaxInsts: r.MaxInsts, Ctx: ctx}
 			if classifier != nil {
 				cls, err := classifier()
 				if err != nil {
@@ -577,6 +569,34 @@ func (r *Runner) trace(w *workload.Workload, memoKey, storeCfg string,
 		r.storePut(key, tr)
 		return tr, nil
 	})
+}
+
+// pass runs one functional pass over w's program as the named stage,
+// so the watchdog, cancellation, retries and the circuit breaker cover
+// it like every other stage. attempt builds the pass's mutable state
+// afresh for each try on machine m and returns the observer that
+// consumes m's retired instructions.
+func (r *Runner) pass(w *workload.Workload, stage string,
+	attempt func(m *vm.Machine) (func(vm.Event), error)) error {
+	p, err := r.Program(w)
+	if err != nil {
+		return err
+	}
+	err = r.stage(w.Name, stage, func(ctx context.Context) error {
+		m, err := vm.New(vm.Config{Program: p})
+		if err != nil {
+			return err
+		}
+		observe, err := attempt(m)
+		if err != nil {
+			return err
+		}
+		return m.RunUntil(ctx, r.MaxInsts, observe)
+	})
+	if err != nil {
+		return &WorkloadError{Workload: w.Name, Stage: stage, Err: err}
+	}
+	return nil
 }
 
 // storedResult is the simulation artifact: the timing result plus the
@@ -648,10 +668,7 @@ func (r *Runner) simulate(w *workload.Workload, cfg cpu.Config, entries int) (*c
 			// failed attempt's partial metrics never leak into Obs or
 			// the store.
 			reg := obs.NewRegistry()
-			var simOpts []cpu.Option
-			if r.watched() {
-				simOpts = append(simOpts, cpu.WithContext(ctx))
-			}
+			simOpts := []cpu.Option{cpu.WithContext(ctx)}
 			if r.Obs != nil || r.Store != nil {
 				simOpts = append(simOpts, cpu.WithMetrics(reg, nil))
 			}

@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/core"
-	"repro/internal/isa"
 	"repro/internal/static"
 	"repro/internal/vm"
 	"repro/internal/workload"
@@ -65,53 +62,38 @@ func (r *Runner) staticHintPass(w *workload.Workload) (StaticHintRow, error) {
 	row.AnalyzerErrs = len(an.Errors())
 
 	oracle := pr.Oracle()
-	cls := make(map[HintMode]*core.Classifier, len(StaticHintModes))
-	for _, mode := range StaticHintModes {
-		var hints core.HintSource
-		switch mode {
-		case HintsOracle:
-			hints = oracle
-		case HintsCompiler:
-			hints = p.HintAt
-		case HintsBinary:
-			hints = an.HintAt
-		}
-		c, err := core.NewClassifier(core.ClassifierConfig{Scheme: core.Scheme1BitHybrid}, core.WithHints(hints))
-		if err != nil {
-			return row, err
-		}
-		cls[mode] = c
-	}
-
 	r.logf("static hint study %s ...", w.Name)
-	m, err := vm.New(vm.Config{Program: p})
-	if err != nil {
-		return row, err
-	}
-	limit := r.MaxInsts
-	if limit == 0 {
-		limit = vm.DefaultMaxInsts
-	}
-	m.MaxInsts = limit + 1
-	var ctx core.Context
-	for !m.Halted() && m.Seq() < limit {
-		ev, err := m.Step()
-		if err != nil {
-			return row, fmt.Errorf("%s: %w", w.Name, err)
-		}
-		if ev.Inst.IsMem() {
-			ctx.CID = m.Reg(isa.RA)
-			actual := core.ActualOf(ev.Region)
-			for _, c := range cls {
-				c.Classify(ev.Index, ev.PC, ev.Inst, ctx, actual)
+	var cls map[HintMode]*core.Classifier
+	err = r.pass(w, "static-hints", func(m *vm.Machine) (func(vm.Event), error) {
+		cls = make(map[HintMode]*core.Classifier, len(StaticHintModes))
+		row.Disagreements = 0
+		for _, mode := range StaticHintModes {
+			var hints core.HintSource
+			switch mode {
+			case HintsOracle:
+				hints = oracle
+			case HintsCompiler:
+				hints = p.HintAt
+			case HintsBinary:
+				hints = an.HintAt
 			}
-			if pred, usable := core.HintPrediction(an.HintAt(ev.Index)); usable && pred != actual {
+			c, err := core.NewClassifier(core.ClassifierConfig{Scheme: core.Scheme1BitHybrid}, core.WithHints(hints))
+			if err != nil {
+				return nil, err
+			}
+			cls[mode] = c
+		}
+		return core.Refs(m, func(ev core.RefEvent) {
+			for _, c := range cls {
+				c.Classify(ev.Index, ev.PC, ev.Inst, ev.Ctx, ev.Actual)
+			}
+			if pred, usable := core.HintPrediction(an.HintAt(ev.Index)); usable && pred != ev.Actual {
 				row.Disagreements++
 			}
-		}
-		if ev.Inst.IsBranch() {
-			ctx.UpdateGBH(ev.Taken)
-		}
+		}), nil
+	})
+	if err != nil {
+		return row, err
 	}
 
 	bin, src := cls[HintsBinary].Stats, cls[HintsCompiler].Stats

@@ -153,28 +153,14 @@ func Run(p *prog.Program, maxInsts uint64, out io.Writer) (*Profile, error) {
 }
 
 // RunContext is Run under a context: cancellation (or a watchdog
-// deadline) is checked every few thousand instructions and surfaces
-// as a vm.FaultError wrapping the context's error, so a hung or
+// deadline) is polled by vm.Machine.RunUntil and surfaces as a
+// vm.FaultError wrapping the context's error, so a hung or
 // oversized workload aborts cleanly instead of pinning the process.
 func RunContext(ctx context.Context, p *prog.Program, maxInsts uint64, out io.Writer) (*Profile, error) {
 	m, err := vm.New(vm.Config{Program: p, Out: out})
 	if err != nil {
 		return nil, err
 	}
-	limit := maxInsts
-	if limit == 0 {
-		limit = vm.DefaultMaxInsts
-	}
-	m.MaxInsts = limit + 1 // the loop below truncates before the VM faults
-	if ctx != nil && ctx != context.Background() {
-		m.FaultHook = func(seq uint64, _ uint32) error {
-			if seq&0x3FF == 0 {
-				return ctx.Err()
-			}
-			return nil
-		}
-	}
-
 	pr := &Profile{
 		Name:    p.Name,
 		PerInst: make([]InstProfile, len(p.Text)),
@@ -201,12 +187,8 @@ func RunContext(ctx context.Context, p *prog.Program, maxInsts uint64, out io.Wr
 		}
 		win.step(cur)
 	}
-	for !m.Halted() && m.Seq() < limit {
-		ev, err := m.Step()
-		if err != nil {
-			return nil, fmt.Errorf("profile: %w", err)
-		}
-		observe(ev)
+	if err := m.RunUntil(ctx, maxInsts, observe); err != nil {
+		return nil, fmt.Errorf("profile: %w", err)
 	}
 	pr.Windows = win.stats()
 	pr.ExitCode = m.ExitCode()

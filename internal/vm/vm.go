@@ -7,6 +7,7 @@
 package vm
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -63,7 +64,7 @@ func (e *FaultError) Error() string {
 func (e *FaultError) Unwrap() error { return e.Err }
 
 // Machine is a functional RISA machine. Create one with New, then call
-// Step until the returned event has Done set (or use Run).
+// RunUntil (or Run, or Step until the returned event has Done set).
 type Machine struct {
 	Prog   *prog.Program
 	Mem    *mem.Memory
@@ -86,7 +87,7 @@ type Machine struct {
 	// non-nil return aborts the step with a FaultError wrapping the
 	// returned error. This is the library's deterministic injection
 	// point: the fault-injection engine plants architectural memory
-	// faults here, and watchdogs plant context-cancellation checks.
+	// faults here. Context cancellation is polled by RunUntil instead.
 	FaultHook func(seq uint64, pc uint32) error
 }
 
@@ -497,9 +498,40 @@ func (m *Machine) syscall() (done bool, err error) {
 }
 
 // Run steps the machine to completion (or error), invoking observe for
-// every retired instruction when observe is non-nil.
+// every retired instruction when observe is non-nil. Only MaxInsts
+// bounds it: a run that exhausts the budget fails with ErrMaxInsts.
 func (m *Machine) Run(observe func(Event)) error {
-	for !m.halted {
+	return m.run(nil, math.MaxUint64, observe)
+}
+
+// RunUntil steps the machine until it halts or limit instructions have
+// retired (0 selects DefaultMaxInsts), invoking observe for every
+// retired instruction when observe is non-nil. Reaching limit is not
+// an error: it raises MaxInsts to limit+1, so truncation always comes
+// before the watchdog. Every 1024 instructions, before the step (and
+// so before FaultHook), it polls ctx when ctx can be cancelled; a
+// cancelled or expired ctx surfaces as a FaultError wrapping ctx.Err().
+// A nil ctx never cancels.
+func (m *Machine) RunUntil(ctx context.Context, limit uint64, observe func(Event)) error {
+	if limit == 0 {
+		limit = DefaultMaxInsts
+	}
+	m.MaxInsts = limit + 1
+	if ctx != nil && ctx.Done() == nil {
+		ctx = nil
+	}
+	return m.run(ctx, limit, observe)
+}
+
+// run is the machine's one step loop; ctx is nil when it cannot be
+// cancelled.
+func (m *Machine) run(ctx context.Context, limit uint64, observe func(Event)) error {
+	for !m.halted && m.seq < limit {
+		if ctx != nil && m.seq&0x3FF == 0 {
+			if err := ctx.Err(); err != nil {
+				return &FaultError{PC: m.pc, Seq: m.seq, Err: err}
+			}
+		}
 		ev, err := m.Step()
 		if err != nil {
 			return err
