@@ -17,8 +17,8 @@ import (
 // Golden is the reference outcome of one unfaulted functional run: the
 // architectural digest every faulted run is compared against, plus the
 // run's shape for fault placement. It is computed by a plain VM run —
-// no timing-model code touches the architectural state it
-// records, which is what makes the comparison a genuine differential.
+// no timing-model code touches the architectural state it records,
+// which is what makes the comparison a genuine differential.
 type Golden struct {
 	Digest ArchDigest
 	Shape  RunShape
