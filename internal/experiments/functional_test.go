@@ -3,15 +3,12 @@ package experiments
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"os"
 	"strings"
 	"testing"
 	"time"
 )
-
-var updateFunctional = flag.Bool("update", false, "rewrite testdata/functional_150k.golden")
 
 // renderFunctionalReport renders every functional-pass section of
 // arlreport -skip-timing (E1-E6, E8-E10, E14) exactly as the command
@@ -78,8 +75,8 @@ func renderFunctionalReport(r *Runner) (string, error) {
 // produce (profile, predictor study, LVC, context sweep, static hints)
 // for all twelve workloads at a 150k-instruction truncation. The
 // golden equals the matching sections of arlreport -n 150000
-// -skip-timing; regenerate it with go test -run FunctionalPassesGolden
-// -update only for a deliberate semantic change.
+// -skip-timing; after a deliberate semantic change, regenerate it from
+// those sections of that command's output.
 func TestFunctionalPassesGolden(t *testing.T) {
 	const path = "testdata/functional_150k.golden"
 	r := NewRunner()
@@ -87,11 +84,6 @@ func TestFunctionalPassesGolden(t *testing.T) {
 	got, err := renderFunctionalReport(r)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if *updateFunctional {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {

@@ -32,7 +32,7 @@ func GoldenRun(p *prog.Program, maxInsts uint64) (*Golden, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := m.RunUntil(context.TODO(), maxInsts, d.observe); err != nil {
+	if err := m.RunUntil(context.Background(), maxInsts, d.observe); err != nil {
 		return nil, fmt.Errorf("faultinject: golden run: %w", err)
 	}
 	return &Golden{

@@ -5,22 +5,13 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"repro/internal/asm"
 )
 
 // faultyRun assembles src, runs it to completion or fault, and returns
 // the terminal error (nil if the program halted cleanly).
 func faultyRun(t *testing.T, src string, setup func(*Machine)) error {
 	t.Helper()
-	p, err := asm.Assemble("t.s", src)
-	if err != nil {
-		t.Fatalf("assemble: %v", err)
-	}
-	m, err := New(Config{Program: p})
-	if err != nil {
-		t.Fatalf("new: %v", err)
-	}
+	m := newMachine(t, src, Config{})
 	if setup != nil {
 		setup(m)
 	}

@@ -4,26 +4,10 @@ import (
 	"context"
 	"errors"
 	"testing"
-
-	"repro/internal/asm"
 )
 
-// newMachine assembles src into a fresh machine.
-func newMachine(t *testing.T, src string) *Machine {
-	t.Helper()
-	p, err := asm.Assemble("t.s", src)
-	if err != nil {
-		t.Fatalf("assemble: %v", err)
-	}
-	m, err := New(Config{Program: p})
-	if err != nil {
-		t.Fatalf("new: %v", err)
-	}
-	return m
-}
-
 func TestRunUntilTruncates(t *testing.T) {
-	m := newMachine(t, loopForever)
+	m := newMachine(t, loopForever, Config{})
 	var observed uint64
 	if err := m.RunUntil(context.Background(), 5000, func(Event) { observed++ }); err != nil {
 		t.Fatalf("truncated run failed: %v", err)
@@ -41,9 +25,9 @@ func TestRunUntilHaltsBeforeLimit(t *testing.T) {
 main:
 	li $v0, 7
 	jr $ra
-`)
+`, Config{})
 	var observed uint64
-	if err := m.RunUntil(nil, 1000, func(Event) { observed++ }); err != nil {
+	if err := m.RunUntil(context.Background(), 1000, func(Event) { observed++ }); err != nil {
 		t.Fatalf("clean run failed: %v", err)
 	}
 	if !m.Halted() || m.Seq() != observed || observed >= 1000 {
@@ -52,14 +36,7 @@ main:
 }
 
 func TestRunUntilLimitOverridesMaxInsts(t *testing.T) {
-	p, err := asm.Assemble("t.s", loopForever)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := New(Config{Program: p, MaxInsts: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newMachine(t, loopForever, Config{MaxInsts: 100})
 	if err := m.RunUntil(context.Background(), 3000, nil); err != nil {
 		t.Fatalf("limit above Config.MaxInsts tripped the watchdog: %v", err)
 	}
@@ -69,7 +46,7 @@ func TestRunUntilLimitOverridesMaxInsts(t *testing.T) {
 }
 
 func TestRunUntilCancelled(t *testing.T) {
-	m := newMachine(t, loopForever)
+	m := newMachine(t, loopForever, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	err := m.RunUntil(ctx, 1_000_000, func(ev Event) {
@@ -95,7 +72,7 @@ func TestRunUntilCancelled(t *testing.T) {
 }
 
 func TestRunUntilPollsBeforeFaultHook(t *testing.T) {
-	m := newMachine(t, loopForever)
+	m := newMachine(t, loopForever, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	hookCalls := 0

@@ -11,17 +11,25 @@ import (
 	"repro/internal/region"
 )
 
-func run(t *testing.T, src string) (*Machine, string) {
+// newMachine assembles src into a fresh machine configured by cfg.
+func newMachine(t *testing.T, src string, cfg Config) *Machine {
 	t.Helper()
 	p, err := asm.Assemble("t.s", src)
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	var out bytes.Buffer
-	m, err := New(Config{Program: p, Out: &out})
+	cfg.Program = p
+	m, err := New(cfg)
 	if err != nil {
 		t.Fatalf("new: %v", err)
 	}
+	return m
+}
+
+func run(t *testing.T, src string) (*Machine, string) {
+	t.Helper()
+	var out bytes.Buffer
+	m := newMachine(t, src, Config{Out: &out})
 	if err := m.Run(nil); err != nil {
 		t.Fatalf("run: %v", err)
 	}
