@@ -14,7 +14,9 @@
 //	arlfault -server http://host:port [-tenant name] [-seed N] [-campaign N] [-faults N]
 //
 // The campaigns run through the experiment Runner, so -store-dir,
-// -resume, -retries and -timeout behave exactly as in arlsim; with
+// -resume, -retries and -timeout behave exactly as in arlsim: each
+// workload's campaign is one "faultcampaign" stage, and the watchdog
+// stops its golden run, faulted trace builds and simulations. With
 // -server they are submitted to a running arld instead, and the
 // rendered report is byte-identical to a local run.
 package main

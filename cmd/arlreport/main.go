@@ -21,8 +21,10 @@
 //
 // Every run writes a schema-validated metrics artifact (default
 // results/arlreport.metrics.json; -metrics "" disables) holding every
-// counter of every simulation performed, and ends with a run-statistics
-// table: per-workload trace build time and simulated cycles per second.
+// counter of every simulation performed. The wall-clock run-statistics
+// table (per-workload trace build time and simulated cycles per
+// second) goes to stderr with the completion line, so stdout holds
+// only deterministic tables and compares byte for byte.
 package main
 
 import (
@@ -162,10 +164,9 @@ func main() {
 		fmt.Print(experiments.RenderWorkloadErrors(errs))
 	}
 
-	section("run statistics")
-	experiments.RenderRunStats(os.Stdout, r.RunStats())
-
 	c.Finish(r.Obs)
+	fmt.Fprintln(os.Stderr)
+	experiments.RenderRunStats(os.Stderr, r.RunStats())
 	fmt.Fprintf(os.Stderr, "\narlreport: completed in %s\n", time.Since(start).Round(time.Second))
 	c.Exit()
 }

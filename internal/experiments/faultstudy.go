@@ -2,12 +2,11 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/cpu"
-	"repro/internal/decouple"
 	"repro/internal/faultinject"
+	"repro/internal/prog"
 	"repro/internal/workload"
 )
 
@@ -29,75 +28,45 @@ type StormRow struct {
 // RecoveryStorm runs E15: for every workload and storm rate it builds
 // a trace whose steering predictions are inverted with probability
 // rate (deterministic in seed; see faultinject.Storm), then simulates
-// the (3+3) machine across the recovery penalties with the full
-// detect→cancel→replay protocol validated. One stormed trace is built
-// per (workload, rate) and shared read-only by all penalty points.
+// the (3+3) machine across the recovery penalties. One stormed trace
+// is built per (workload, rate), in a "storm <rate>" stage, and shared
+// read-only by all penalty points.
 func (r *Runner) RecoveryStorm(seed uint64, rates []float64, penalties []int) ([]StormRow, error) {
 	if len(rates) == 0 || len(penalties) == 0 {
 		return nil, nil
+	}
+	cfgs := make([]cpu.Config, len(penalties))
+	for pi, pen := range penalties {
+		cfgs[pi] = cpu.Decoupled(3, 3)
+		cfgs[pi].MispredictPenalty = pen
 	}
 	nr, np := len(rates), len(penalties)
 	rows := make([]StormRow, len(r.Workloads)*nr*np)
 	err := r.parallelDo(len(r.Workloads)*nr, func(i int) error {
 		w, rate := r.Workloads[i/nr], rates[i%nr]
-		err := func() error {
-			p, err := r.Program(w)
-			if err != nil {
-				return err
-			}
-			base, err := r.SimulateConfig(w, cpu.Conventional(2, 2))
-			if err != nil {
-				return err
-			}
-			r.logf("storming %s at rate %.3f ...", w.Name, rate)
-			serr := r.stage(w.Name, fmt.Sprintf("storm %.3f", rate), func(ctx context.Context) error {
-				tr, err := cpu.BuildTrace(p, cpu.TraceOptions{
-					MaxInsts:   r.MaxInsts,
-					SteerFault: faultinject.Storm(seed, rate),
-					Ctx:        ctx,
-				})
-				if err != nil {
-					return &WorkloadError{Workload: w.Name, Stage: "storm trace", Err: err}
-				}
-				for pi, pen := range penalties {
-					cfg := cpu.Decoupled(3, 3)
-					cfg.MispredictPenalty = pen
-					rec := decouple.NewRecovery()
-					sim, err := cpu.New(cfg, cpu.WithRecovery(rec), cpu.WithContext(ctx))
-					if err != nil {
-						return &WorkloadError{Workload: w.Name, Stage: "storm simulate", Err: err}
-					}
-					res, err := sim.Run(tr)
-					if err != nil {
-						return &WorkloadError{Workload: w.Name, Stage: "storm simulate", Err: err}
-					}
-					if !rec.Complete() {
-						return &WorkloadError{Workload: w.Name, Stage: "storm simulate",
-							Err: fmt.Errorf("%d recoveries incomplete", rec.Outstanding())}
-					}
-					rows[i*np+pi] = StormRow{
-						Name: w.Name, Rate: rate, Penalty: pen,
-						Speedup:     res.Speedup(base),
-						IPC:         res.IPC(),
-						Mispredicts: res.ARPTMispredicts,
-						Recoveries:  res.Recoveries,
-					}
-				}
-				return nil
-			})
-			var we *WorkloadError
-			if serr != nil && !errors.As(serr, &we) {
-				// The breaker tripping (or retry exhaustion on a bare
-				// error) surfaces here unwrapped; dress it so degraded
-				// batches render it like any other workload failure.
-				serr = &WorkloadError{Workload: w.Name, Stage: "storm", Err: serr}
-			}
-			return serr
-		}()
-		if err != nil && r.degraded(err) {
-			return nil // the workload's rows stay zero; filtered below
+		base, err := r.SimulateConfig(w, cpu.Conventional(2, 2))
+		var results []*cpu.Result
+		if err == nil {
+			_, results, err = r.variant(w, fmt.Sprintf("storm %.3f", rate), func(*prog.Program) (cpu.TraceOptions, error) {
+				return cpu.TraceOptions{SteerFault: faultinject.Storm(seed, rate)}, nil
+			}, cfgs...)
 		}
-		return err
+		if err != nil {
+			if r.degraded(err) {
+				return nil // the workload's rows stay zero; filtered below
+			}
+			return err
+		}
+		for pi, res := range results {
+			rows[i*np+pi] = StormRow{
+				Name: w.Name, Rate: rate, Penalty: penalties[pi],
+				Speedup:     res.Speedup(base),
+				IPC:         res.IPC(),
+				Mispredicts: res.ARPTMispredicts,
+				Recoveries:  res.Recoveries,
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -141,13 +110,12 @@ func (r *Runner) FaultCampaign(w *workload.Workload, seed uint64, runs, faults i
 		}
 		r.logf("fault campaign %s (seed %d, %d runs x %d faults) ...", w.Name, seed, runs, faults)
 		var sum *faultinject.Summary
-		err = r.stage(w.Name, "faultcampaign", func(context.Context) error {
-			var err error
-			sum, err = faultinject.RunCampaign(p, w.Name, seed, runs, faults, r.MaxInsts, cfg)
+		err = r.stage(w.Name, "faultcampaign", func(ctx context.Context) (err error) {
+			sum, err = faultinject.RunCampaign(ctx, p, w.Name, seed, runs, faults, r.MaxInsts, cfg)
 			return err
 		})
 		if err != nil {
-			return nil, &WorkloadError{Workload: w.Name, Stage: "faultcampaign", Err: err}
+			return nil, err
 		}
 		r.storePut(key, sum)
 		return sum, nil

@@ -172,3 +172,22 @@ func TestRunnerCtxCancelsSimulation(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
+
+// TestFaultCampaignHonoursWatchdog checks that a fault campaign runs
+// under its stage context: a 1 ns watchdog stops the golden and
+// faulted runs and the campaign fails with a timeout WorkloadError
+// instead of returning a full summary.
+func TestFaultCampaignHonoursWatchdog(t *testing.T) {
+	r := quickRunner(t, "li")
+	r.MaxInsts = 100_000
+	w := r.Workloads[0]
+	if _, err := r.Program(w); err != nil {
+		t.Fatal(err)
+	}
+	r.WorkloadTimeout = time.Nanosecond
+	sum, err := r.FaultCampaign(w, 1, 4, 6, cpu.Decoupled(3, 3))
+	var we *WorkloadError
+	if !errors.As(err, &we) || !we.Timeout() || we.Stage != "faultcampaign" {
+		t.Fatalf("FaultCampaign = %v, %v; want a faultcampaign timeout", sum, err)
+	}
+}

@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/decouple"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/profile"
@@ -295,11 +296,12 @@ func (r *Runner) ctx() context.Context {
 // entry, the retry policy paces re-attempts (each attempt bounded by
 // Retry.AttemptTimeout, defaulting to the WorkloadTimeout watchdog),
 // and the outcome feeds back into the breaker. fn receives the
-// per-attempt context.
+// per-attempt context. A failure comes back as a *WorkloadError
+// naming the workload and the stage.
 func (r *Runner) stage(wl, stage string, fn func(ctx context.Context) error) error {
 	if r.Breaker != nil {
 		if err := r.Breaker.Allow(wl); err != nil {
-			return err
+			return &WorkloadError{Workload: wl, Stage: stage, Err: err}
 		}
 	}
 	retry := r.Retry
@@ -329,7 +331,10 @@ func (r *Runner) stage(wl, stage string, fn func(ctx context.Context) error) err
 			}
 		}
 	}
-	return err
+	if err != nil {
+		return &WorkloadError{Workload: wl, Stage: stage, Err: err}
+	}
+	return nil
 }
 
 // storeVersion names the producing code version inside store keys, so
@@ -453,13 +458,12 @@ func (r *Runner) Program(w *workload.Workload) (*prog.Program, error) {
 			r.logf("store: %s decoded but fails validation (%v); recompiling", key, err)
 		}
 		var p *prog.Program
-		err := r.stage(w.Name, "compile", func(context.Context) error {
-			var err error
+		err := r.stage(w.Name, "compile", func(context.Context) (err error) {
 			p, err = w.Compile(r.Scale)
 			return err
 		})
 		if err != nil {
-			return nil, &WorkloadError{Workload: w.Name, Stage: "compile", Err: err}
+			return nil, err
 		}
 		r.storePut(key, p)
 		return p, nil
@@ -481,13 +485,12 @@ func (r *Runner) Profile(w *workload.Workload) (*profile.Profile, error) {
 		}
 		r.logf("profiling %s ...", w.Name)
 		var pr *profile.Profile
-		err = r.stage(w.Name, "profile", func(ctx context.Context) error {
-			var err error
+		err = r.stage(w.Name, "profile", func(ctx context.Context) (err error) {
 			pr, err = profile.RunContext(ctx, p, r.MaxInsts, nil)
 			return err
 		})
 		if err != nil {
-			return nil, &WorkloadError{Workload: w.Name, Stage: "profile", Err: err}
+			return nil, err
 		}
 		r.storePut(key, pr)
 		return pr, nil
@@ -564,7 +567,7 @@ func (r *Runner) trace(w *workload.Workload, memoKey, storeCfg string,
 			return nil
 		})
 		if err != nil {
-			return nil, &WorkloadError{Workload: w.Name, Stage: "trace", Err: err}
+			return nil, err
 		}
 		r.storePut(key, tr)
 		return tr, nil
@@ -582,7 +585,7 @@ func (r *Runner) pass(w *workload.Workload, stage string,
 	if err != nil {
 		return err
 	}
-	err = r.stage(w.Name, stage, func(ctx context.Context) error {
+	return r.stage(w.Name, stage, func(ctx context.Context) error {
 		m, err := vm.New(vm.Config{Program: p})
 		if err != nil {
 			return err
@@ -593,10 +596,60 @@ func (r *Runner) pass(w *workload.Workload, stage string,
 		}
 		return m.RunUntil(ctx, r.MaxInsts, observe)
 	})
+}
+
+// variant runs one stage of w that builds a trace with the options
+// opts returns (a steering policy, a misprediction storm) and
+// simulates it under each of cfgs. The trace serves this stage alone,
+// so it stays out of the memo and the store. opts is called per
+// attempt: classifier state is mutable and must not leak into a retry.
+func (r *Runner) variant(w *workload.Workload, stage string,
+	opts func(p *prog.Program) (cpu.TraceOptions, error), cfgs ...cpu.Config) (*cpu.Trace, []*cpu.Result, error) {
+	p, err := r.Program(w)
 	if err != nil {
-		return &WorkloadError{Workload: w.Name, Stage: stage, Err: err}
+		return nil, nil, err
 	}
-	return nil
+	r.logf("  %s %s ...", w.Name, stage)
+	var tr *cpu.Trace
+	results := make([]*cpu.Result, len(cfgs))
+	err = r.stage(w.Name, stage, func(ctx context.Context) error {
+		o, err := opts(p)
+		if err != nil {
+			return err
+		}
+		o.MaxInsts, o.Ctx = r.MaxInsts, ctx
+		if tr, err = cpu.BuildTrace(p, o); err != nil {
+			return err
+		}
+		for i, cfg := range cfgs {
+			if results[i], err = r.run(ctx, tr, cfg); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	return tr, results, err
+}
+
+// run simulates tr under cfg; it is the harness's only call into the
+// timing engine. Every run polls ctx and drives the detect → cancel →
+// replay recovery checker, failing when a recovery is left incomplete.
+func (r *Runner) run(ctx context.Context, tr *cpu.Trace, cfg cpu.Config, opts ...cpu.Option) (*cpu.Result, error) {
+	rec := decouple.NewRecovery()
+	sim, err := cpu.New(cfg, append(opts, cpu.WithContext(ctx), cpu.WithRecovery(rec))...)
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now() //arlvet:allow wallclock RunStats measures harness cost; wall time never reaches simulation results
+	res, err := sim.Run(tr)
+	if err != nil {
+		return nil, err
+	}
+	if !rec.Complete() {
+		return nil, fmt.Errorf("%s %s: %d recoveries left incomplete", tr.Name, cfg.Name, rec.Outstanding())
+	}
+	r.noteSim(tr.Name, res.Cycles, time.Since(start)) //arlvet:allow wallclock RunStats measures harness cost; wall time never reaches simulation results
+	return res, nil
 }
 
 // storedResult is the simulation artifact: the timing result plus the
@@ -668,26 +721,19 @@ func (r *Runner) simulate(w *workload.Workload, cfg cpu.Config, entries int) (*c
 			// failed attempt's partial metrics never leak into Obs or
 			// the store.
 			reg := obs.NewRegistry()
-			simOpts := []cpu.Option{cpu.WithContext(ctx)}
+			var opts []cpu.Option
 			if r.Obs != nil || r.Store != nil {
-				simOpts = append(simOpts, cpu.WithMetrics(reg, nil))
+				opts = append(opts, cpu.WithMetrics(reg, nil))
 			}
-			sim, err := cpu.New(cfg, simOpts...)
-			if err != nil {
+			var err error
+			if res, err = r.run(ctx, tr, cfg, opts...); err != nil {
 				return err
 			}
-			start := time.Now() //arlvet:allow wallclock RunStats measures harness cost; wall time never reaches simulation results
-			res, err = sim.Run(tr)
-			if err != nil {
-				return err
-			}
-			r.noteSim(w.Name, res.Cycles, time.Since(start)) //arlvet:allow wallclock RunStats measures harness cost; wall time never reaches simulation results
 			frag = reg
 			return nil
 		})
 		if err != nil {
-			return nil, &WorkloadError{Workload: w.Name,
-				Stage: "simulate " + cfg.Name, Err: err}
+			return nil, err
 		}
 		var fragJSON []byte
 		if frag != nil {

@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
+	"repro/internal/cpu"
 	"repro/internal/decouple"
+	"repro/internal/prog"
 	"repro/internal/workload"
 )
 
@@ -12,32 +15,54 @@ import (
 // (3+3) machine driven by different dispatch-steering policies.
 type SteeringRow struct {
 	Name    string
-	Results []decouple.PolicyResult
+	Results []PolicyResult
 }
 
-// SteeringPolicies runs E12 over the runner's workloads.
+// PolicyResult is the (3+3) machine under one steering policy.
+type PolicyResult struct {
+	Policy      decouple.Policy
+	Cycles      uint64
+	IPC         float64
+	Mispredicts uint64
+	Accuracy    float64 // steering accuracy over the trace, percent
+}
+
+// SteeringPolicies runs E12 over the runner's workloads. The default
+// memo trace is exactly the PolicyARPT trace and Figure 8 already
+// simulates it on (3+3), so that arm is two memo hits; every other
+// policy builds its own trace in a "steer <policy>" stage.
 func (r *Runner) SteeringPolicies() ([]SteeringRow, error) {
+	cfg := cpu.Decoupled(3, 3)
 	return forEach(r, func(w *workload.Workload) (SteeringRow, error) {
-		p, err := r.Program(w)
-		if err != nil {
-			return SteeringRow{}, err
-		}
 		pr, err := r.Profile(w)
 		if err != nil {
 			return SteeringRow{}, err
 		}
-		// The default-steering memo trace is exactly the PolicyARPT
-		// trace, so the ablation rebuilds only the other policies.
-		tr, err := r.Trace(w)
-		if err != nil {
-			return SteeringRow{}, err
+		row := SteeringRow{Name: w.Name}
+		for _, pol := range decouple.AllPolicies {
+			var tr *cpu.Trace
+			res := make([]*cpu.Result, 1)
+			if pol == decouple.PolicyARPT {
+				if tr, err = r.Trace(w); err == nil {
+					res[0], err = r.SimulateConfig(w, cfg)
+				}
+			} else {
+				tr, res, err = r.variant(w, "steer "+pol.String(), func(p *prog.Program) (cpu.TraceOptions, error) {
+					return decouple.TraceOptions(pol, p, pr)
+				}, cfg)
+			}
+			if err != nil {
+				return SteeringRow{}, err
+			}
+			row.Results = append(row.Results, PolicyResult{
+				Policy:      pol,
+				Cycles:      res[0].Cycles,
+				IPC:         res[0].IPC(),
+				Mispredicts: res[0].ARPTMispredicts,
+				Accuracy:    tr.PredictorStats.Accuracy(),
+			})
 		}
-		r.logf("steering ablation %s ...", w.Name)
-		results, err := decouple.ComparePoliciesReusing(p, pr, r.MaxInsts, tr)
-		if err != nil {
-			return SteeringRow{}, err
-		}
-		return SteeringRow{Name: w.Name, Results: results}, nil
+		return row, nil
 	})
 }
 
@@ -76,19 +101,29 @@ type FFRow struct {
 }
 
 // FastForwardAblation runs E13: (3+3) with and without LVAQ fast
-// forwarding.
+// forwarding. The enabled arm is Figure 8's memoized (3+3) result; the
+// disabled arm simulates the memo trace in one "ffwd-off" stage.
 func (r *Runner) FastForwardAblation() ([]FFRow, error) {
+	off := cpu.Decoupled(3, 3)
+	off.FastForward = false
 	return forEach(r, func(w *workload.Workload) (FFRow, error) {
-		r.logf("fast-forward ablation %s ...", w.Name)
+		with, err := r.SimulateConfig(w, cpu.Decoupled(3, 3))
+		if err != nil {
+			return FFRow{}, err
+		}
 		tr, err := r.Trace(w)
 		if err != nil {
 			return FFRow{}, err
 		}
-		results, err := decouple.CompareFastForward(tr)
+		r.logf("  %s ffwd-off ...", w.Name)
+		var without *cpu.Result
+		err = r.stage(w.Name, "ffwd-off", func(ctx context.Context) (err error) {
+			without, err = r.run(ctx, tr, off)
+			return err
+		})
 		if err != nil {
 			return FFRow{}, err
 		}
-		with, without := results[0], results[1]
 		return FFRow{
 			Name:         w.Name,
 			SpeedupFF:    float64(without.Cycles) / float64(with.Cycles),

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cpu"
 	"repro/internal/decouple"
@@ -52,6 +55,76 @@ func TestTimingStudiesGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("timing tables diverge from %s:\n got:\n%s\nwant:\n%s", path, got, want)
+	}
+}
+
+// TestTimingStagesHonourWatchdog checks that the E12, E13 and E15
+// simulations run as Runner stages: the per-stage watchdog stops them
+// and Degrade records the timeout as a WorkloadError naming the stage,
+// and a cancelled Runner.Ctx aborts them. The memoized inputs are
+// warmed first, unwatched, so only the study's own stage can fail. The
+// ffwd-off stage simulates the memo trace: 300k instructions at a
+// commit width of 16 take at least 18.75K cycles, past the timing
+// loop's first context poll at cycle 16384.
+func TestTimingStagesHonourWatchdog(t *testing.T) {
+	studies := []struct {
+		stage string
+		run   func(r *Runner) (rows int, err error)
+	}{
+		{"steer static-only", func(r *Runner) (int, error) {
+			rows, err := r.SteeringPolicies()
+			return len(rows), err
+		}},
+		{"ffwd-off", func(r *Runner) (int, error) {
+			rows, err := r.FastForwardAblation()
+			return len(rows), err
+		}},
+		{"storm 0.010", func(r *Runner) (int, error) {
+			rows, err := r.RecoveryStorm(1, []float64{0.01}, []int{8})
+			return len(rows), err
+		}},
+	}
+	for _, study := range studies {
+		t.Run(study.stage, func(t *testing.T) {
+			r := quickRunner(t, "compress", "li")
+			for _, w := range r.Workloads {
+				if _, err := r.Profile(w); err != nil {
+					t.Fatal(err)
+				}
+				for _, cfg := range []cpu.Config{cpu.Conventional(2, 2), cpu.Decoupled(3, 3)} {
+					if _, err := r.SimulateConfig(w, cfg); err != nil { // warms the memo trace too
+						t.Fatal(err)
+					}
+				}
+			}
+
+			r.MaxInsts = 1 << 40
+			r.WorkloadTimeout = time.Nanosecond
+			r.Degrade = true
+			n, err := study.run(r)
+			if err != nil {
+				t.Fatalf("degraded batch aborted: %v", err)
+			}
+			if n != 0 {
+				t.Fatalf("got %d rows, want none: every stage should have timed out", n)
+			}
+			errs := r.Errors()
+			if len(errs) != len(r.Workloads) {
+				t.Fatalf("recorded %d errors, want one per workload: %v", len(errs), errs)
+			}
+			for _, we := range errs {
+				if !we.Timeout() || we.Stage != study.stage {
+					t.Fatalf("error %v: timeout %v, stage %q; want a %q timeout", we, we.Timeout(), we.Stage, study.stage)
+				}
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			r.Ctx, r.WorkloadTimeout, r.Degrade = ctx, 0, false
+			if _, err := study.run(r); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+		})
 	}
 }
 

@@ -25,14 +25,15 @@ type Golden struct {
 }
 
 // GoldenRun executes p functionally (truncated at maxInsts; 0 means
-// the VM default) and digests its architectural outcome.
-func GoldenRun(p *prog.Program, maxInsts uint64) (*Golden, error) {
+// the VM default) and digests its architectural outcome. Cancelling
+// ctx stops the run with an error wrapping ctx.Err().
+func GoldenRun(ctx context.Context, p *prog.Program, maxInsts uint64) (*Golden, error) {
 	d := newDigester()
 	m, err := vm.New(vm.Config{Program: p, Out: d})
 	if err != nil {
 		return nil, err
 	}
-	if err := m.RunUntil(context.Background(), maxInsts, d.observe); err != nil {
+	if err := m.RunUntil(ctx, maxInsts, d.observe); err != nil {
 		return nil, fmt.Errorf("faultinject: golden run: %w", err)
 	}
 	return &Golden{
@@ -78,8 +79,10 @@ func (r *RunResult) Survived() bool { return r.Divergence == "" }
 //     recovery completing the detect→cancel→replay protocol.
 //
 // Violations are reported in RunResult.Divergence; the error return is
-// reserved for harness failures (e.g. an invalid configuration).
-func RunOne(p *prog.Program, maxInsts uint64, golden *Golden, plan *Plan, cfg cpu.Config) (*RunResult, error) {
+// reserved for harness failures (e.g. an invalid configuration) and
+// for ctx ending, which stops the trace build or the simulation and is
+// never mistaken for a divergence.
+func RunOne(ctx context.Context, p *prog.Program, maxInsts uint64, golden *Golden, plan *Plan, cfg cpu.Config) (*RunResult, error) {
 	res := &RunResult{Seed: plan.Seed}
 
 	table, err := core.NewARPT(core.DefaultPipelineConfig())
@@ -99,6 +102,7 @@ func RunOne(p *prog.Program, maxInsts uint64, golden *Golden, plan *Plan, cfg cp
 	var finalSeen bool
 	tr, err := cpu.BuildTrace(p, cpu.TraceOptions{
 		MaxInsts:   maxInsts,
+		Ctx:        ctx,
 		Classifier: cls,
 		SteerFault: inj.SteerFault,
 		VMFault:    inj.VMFault,
@@ -110,6 +114,9 @@ func RunOne(p *prog.Program, maxInsts uint64, golden *Golden, plan *Plan, cfg cp
 		},
 	})
 	res.Fired = inj.FiredCount()
+	if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
+		return nil, err
+	}
 
 	if seq, hasMemFault := plan.FirstMemFault(); hasMemFault && seq < golden.Shape.Insts {
 		// The plan demands an architectural abort before the run ends:
@@ -141,11 +148,14 @@ func RunOne(p *prog.Program, maxInsts uint64, golden *Golden, plan *Plan, cfg cp
 	}
 
 	rec := decouple.NewRecovery()
-	sim, err := cpu.New(cfg, cpu.WithFaults(inj), cpu.WithRecovery(rec))
+	sim, err := cpu.New(cfg, cpu.WithFaults(inj), cpu.WithRecovery(rec), cpu.WithContext(ctx))
 	if err != nil {
 		return nil, err
 	}
 	sres, err := sim.Run(tr)
+	if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
+		return nil, err
+	}
 	if err != nil {
 		res.Divergence = fmt.Sprintf("faulted timing simulation failed: %v", err)
 		return res, nil
@@ -209,16 +219,21 @@ func (s *Summary) String() string {
 // RunCampaign runs a seeded campaign of differential fault runs
 // against one program. Per-run plan seeds are derived from the
 // campaign seed, so the whole campaign is reproducible from (seed,
-// runs, faultsPerRun, maxInsts, cfg).
-func RunCampaign(p *prog.Program, name string, seed uint64, runs, faultsPerRun int, maxInsts uint64, cfg cpu.Config) (*Summary, error) {
-	golden, err := GoldenRun(p, maxInsts)
+// runs, faultsPerRun, maxInsts, cfg). Cancelling ctx stops the
+// campaign, inside a run or between two, with an error wrapping
+// ctx.Err().
+func RunCampaign(ctx context.Context, p *prog.Program, name string, seed uint64, runs, faultsPerRun int, maxInsts uint64, cfg cpu.Config) (*Summary, error) {
+	golden, err := GoldenRun(ctx, p, maxInsts)
 	if err != nil {
 		return nil, fmt.Errorf("faultinject: %s: %w", name, err)
 	}
 	s := &Summary{Workload: name, Seed: seed, Runs: runs, FaultsPerRun: faultsPerRun}
 	for i := 0; i < runs; i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("faultinject: %s run %d: %w", name, i, err)
+		}
 		plan := NewPlan(seeded.Derive(seed, uint64(i)), faultsPerRun, golden.Shape)
-		rr, err := RunOne(p, maxInsts, golden, plan, cfg)
+		rr, err := RunOne(ctx, p, maxInsts, golden, plan, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("faultinject: %s run %d: %w", name, i, err)
 		}
