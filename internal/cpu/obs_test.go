@@ -53,7 +53,8 @@ func (f *fakeTracer) Emit(ev obs.Event) { f.evs = append(f.evs, ev) }
 
 // TestTracerEventSequence pins the exact event stream of the
 // 10-instruction workload on the (3+3) machine: the observer seam must
-// report precisely what the pipeline did, in emission order.
+// report precisely what the pipeline did, in emission order. Events
+// due in the same cycle are handled in (seq, kind) order.
 func TestTracerEventSequence(t *testing.T) {
 	tr := tenInstTrace(t, TraceOptions{})
 	var ft fakeTracer
@@ -100,8 +101,8 @@ func TestTracerEventSequence(t *testing.T) {
 		// Cycle 3: their results complete; dependents issue (memory ops
 		// take their AGU slot).
 		ev(3, 0, obs.EvComplete, 0),
-		ev(3, 9, obs.EvComplete, 0),
 		ev(3, 1, obs.EvComplete, 0),
+		ev(3, 9, obs.EvComplete, 0),
 		ev(3, 2, obs.EvIssue, 0),
 		ev(3, 3, obs.EvIssue, 0),
 		ev(3, 5, obs.EvIssue, 0),
@@ -112,10 +113,10 @@ func TestTracerEventSequence(t *testing.T) {
 		ev(4, 0, obs.EvCommit, 0),
 		ev(4, 1, obs.EvCommit, 0),
 		ev(4, 2, obs.EvAddrReady, 0),
-		ev(4, 8, obs.EvComplete, 0),
-		ev(4, 6, obs.EvAddrReady, 0),
-		ev(4, 5, obs.EvAddrReady, 0),
 		ev(4, 3, obs.EvAddrReady, 0),
+		ev(4, 5, obs.EvAddrReady, 0),
+		ev(4, 6, obs.EvAddrReady, 0),
+		ev(4, 8, obs.EvComplete, 0),
 		ev(4, 2, obs.EvCacheAccess, lvcWrMem),
 		ev(4, 2, obs.EvComplete, 0),
 		ev(4, 3, obs.EvForward, 0),
