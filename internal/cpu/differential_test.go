@@ -172,8 +172,11 @@ func (r *recRecovery) Replay(seq int64, pen int) error {
 
 // recFaulter is a seeded MemFaulter that denies about one port grant
 // in seven and delays about one load in six, recording every query.
+// A far faulter makes about a quarter of those delays 200-300 cycles,
+// so some completions fall past any timing-wheel horizon.
 type recFaulter struct {
 	seed  uint64
+	far   bool
 	calls []string
 }
 
@@ -187,6 +190,9 @@ func (f *recFaulter) PortDenied(n uint64, lvc bool) bool {
 func (f *recFaulter) ExtraLatency(n uint64) int {
 	f.calls = append(f.calls, fmt.Sprintf("lat %d", n))
 	if h := f.hash(n) >> 8; h%6 == 0 {
+		if f.far && (h>>16)%4 == 0 {
+			return 200 + int(h>>24)%101
+		}
 		return 1 + int(h>>8)%40
 	}
 	return 0
@@ -202,21 +208,28 @@ type diffRun struct {
 	metrics []obs.Sample
 }
 
+// diffOpts is one differential run's instrumentation.
+type diffOpts struct {
+	instrumented bool   // tracer, recovery observer and metrics attached
+	faultSeed    uint64 // seeds a recFaulter when instrumented (0: none)
+	far          bool   // the recFaulter also adds 200-300 cycle delays
+	failAt       int    // the recovery observer rejects this call (0: none)
+}
+
 // runEngine simulates tr on cfg through run (Sim.run or refRun) with
 // the given instrumentation and collects everything it observably did.
-func runEngine(run func(*Sim, *Trace) (*Result, error), tr *Trace, cfg Config,
-	instrumented bool, faultSeed uint64, failAt int) (diffRun, error) {
+func runEngine(run func(*Sim, *Trace) (*Result, error), tr *Trace, cfg Config, o diffOpts) (diffRun, error) {
 	var (
 		ft  recTracer
-		rec = recRecovery{failAt: failAt}
-		fl  = recFaulter{seed: faultSeed}
+		rec = recRecovery{failAt: o.failAt}
+		fl  = recFaulter{seed: o.faultSeed, far: o.far}
 		reg = obs.NewRegistry()
 	)
 	opts := []Option{WithContext(context.Background())}
-	if instrumented {
+	if o.instrumented {
 		opts = append(opts, WithTracer(&ft), WithRecovery(&rec),
 			WithMetrics(reg, obs.Labels{"suite": "diff"}))
-		if faultSeed != 0 {
+		if o.faultSeed != 0 {
 			opts = append(opts, WithFaults(&fl))
 		}
 	}
@@ -235,18 +248,17 @@ func runEngine(run func(*Sim, *Trace) (*Result, error), tr *Trace, cfg Config,
 // diffCheck runs both engines and fails on the first observable
 // difference: Result, error, tracer stream, recovery calls, faulter
 // queries or published histograms.
-func diffCheck(t *testing.T, tr *Trace, cfg Config, instrumented bool, faultSeed uint64, failAt int) diffRun {
+func diffCheck(t *testing.T, tr *Trace, cfg Config, o diffOpts) diffRun {
 	t.Helper()
-	got, err := runEngine((*Sim).run, tr, cfg, instrumented, faultSeed, failAt)
+	got, err := runEngine((*Sim).run, tr, cfg, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := runEngine(refRun, tr, cfg, instrumented, faultSeed, failAt)
+	want, err := runEngine(refRun, tr, cfg, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tag := fmt.Sprintf("%s on %s (instrumented=%v faults=%d failAt=%d)",
-		tr.Name, cfg.Name, instrumented, faultSeed, failAt)
+	tag := fmt.Sprintf("%s on %s (%+v)", tr.Name, cfg.Name, o)
 	if got.err != want.err {
 		t.Fatalf("%s: error %q, reference %q", tag, got.err, want.err)
 	}
@@ -278,17 +290,19 @@ func diffCheck(t *testing.T, tr *Trace, cfg Config, instrumented bool, faultSeed
 // must reproduce the frozen reference engine exactly — Result, tracer
 // stream, RecoveryObserver sequence, MemFaulter queries and occupancy
 // histograms — with and without instrumentation and injected faults.
+// The far-fault case delays loads by 200-300 cycles, past the horizon
+// of any event queue that buckets the near future.
 func TestEngineMatchesReference(t *testing.T) {
 	traces := []*Trace{trace(t, loopSrc)}
 	for seed := uint64(1); seed <= 4; seed++ {
 		traces = append(traces, synthTrace(seed, 6000))
 	}
-	var recoveries, forwards, fastForwards, portStalls uint64
+	var recoveries, forwards, fastForwards, portStalls, farCompletions uint64
 	for _, tr := range traces {
 		for _, cfg := range diffConfigs(t) {
-			diffCheck(t, tr, cfg, false, 0, 0)
-			diffCheck(t, tr, cfg, true, 0, 0)
-			r := diffCheck(t, tr, cfg, true, 7, 0)
+			diffCheck(t, tr, cfg, diffOpts{})
+			diffCheck(t, tr, cfg, diffOpts{instrumented: true})
+			r := diffCheck(t, tr, cfg, diffOpts{instrumented: true, faultSeed: 7})
 			recoveries += r.res.Recoveries
 			forwards += r.res.Forwards
 			fastForwards += r.res.FastForwards
@@ -297,13 +311,34 @@ func TestEngineMatchesReference(t *testing.T) {
 					portStalls++
 				}
 			}
+			r = diffCheck(t, tr, cfg, diffOpts{instrumented: true, faultSeed: 11, far: true})
+			farCompletions += completionsAfter(r.events, 200)
 		}
 	}
 	// The differential is only as strong as the paths it reaches.
-	if recoveries == 0 || forwards == 0 || fastForwards == 0 || portStalls == 0 {
-		t.Errorf("differential missed a path: recoveries %d forwards %d fast forwards %d port stalls %d",
-			recoveries, forwards, fastForwards, portStalls)
+	if recoveries == 0 || forwards == 0 || fastForwards == 0 || portStalls == 0 || farCompletions == 0 {
+		t.Errorf("differential missed a path: recoveries %d forwards %d fast forwards %d port stalls %d far completions %d",
+			recoveries, forwards, fastForwards, portStalls, farCompletions)
 	}
+}
+
+// completionsAfter counts the loads in a tracer stream that complete at
+// least d cycles after their cache access was granted.
+func completionsAfter(evs []obs.Event, d int64) uint64 {
+	granted := make(map[int64]int64)
+	var n uint64
+	for _, ev := range evs {
+		switch ev.Kind {
+		case obs.EvCacheAccess:
+			granted[ev.Seq] = ev.Cycle
+		case obs.EvComplete:
+			if c, ok := granted[ev.Seq]; ok && ev.Cycle-c >= d {
+				n++
+			}
+			delete(granted, ev.Seq)
+		}
+	}
+	return n
 }
 
 // TestEngineMatchesReferenceOnObserverError: an observer that rejects a
@@ -312,7 +347,7 @@ func TestEngineMatchesReference(t *testing.T) {
 func TestEngineMatchesReferenceOnObserverError(t *testing.T) {
 	tr := synthTrace(4, 3000)
 	for _, failAt := range []int{1, 2, 3, 10} {
-		r := diffCheck(t, tr, Decoupled(2, 3), true, 0, failAt)
+		r := diffCheck(t, tr, Decoupled(2, 3), diffOpts{instrumented: true, failAt: failAt})
 		if !strings.Contains(r.err, "observer rejects") {
 			t.Fatalf("failAt %d: run did not abort on the observer error (err %q)", failAt, r.err)
 		}
