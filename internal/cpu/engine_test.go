@@ -31,7 +31,7 @@ func compressTrace(t *testing.T, n uint64) *Trace {
 }
 
 // TestSimulateZeroAllocsPerInst is the allocation gate: Simulate sizes
-// its ROB ring, heaps, queues and caches once per run, so it allocates
+// its ROB ring, event wheel, queues and caches once per run, so it allocates
 // per run and never per simulated instruction — a trace ten times
 // longer must cost exactly as many allocations.
 func TestSimulateZeroAllocsPerInst(t *testing.T) {
