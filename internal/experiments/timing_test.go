@@ -10,6 +10,8 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/decouple"
+	"repro/internal/faultinject"
+	"repro/internal/prog"
 	"repro/internal/workload"
 )
 
@@ -125,6 +127,28 @@ func TestTimingStagesHonourWatchdog(t *testing.T) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
 		})
+	}
+}
+
+// TestVariantTimesItsTraceBuild checks that a variant stage's trace
+// build counts in RunStats: a fresh Runner that runs only one variant
+// stage reports that trace's length and a non-zero build time.
+func TestVariantTimesItsTraceBuild(t *testing.T) {
+	r := quickRunner(t, "compress")
+	r.MaxInsts = 20_000
+	tr, _, err := r.variant(r.Workloads[0], "storm 0.010", func(*prog.Program) (cpu.TraceOptions, error) {
+		return cpu.TraceOptions{SteerFault: faultinject.Storm(1, 0.01)}, nil
+	}, cpu.Decoupled(3, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := r.RunStats()
+	if len(stats) != 1 {
+		t.Fatalf("run statistics for %d workloads, want 1", len(stats))
+	}
+	if s := stats[0]; s.TraceWall <= 0 || s.TraceInsts != uint64(len(tr.Insts)) {
+		t.Fatalf("trace build recorded as %d insts in %v; want %d insts in a non-zero time",
+			s.TraceInsts, s.TraceWall, len(tr.Insts))
 	}
 }
 
