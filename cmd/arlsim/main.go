@@ -8,7 +8,7 @@
 //	arlsim [-fig8] [-ablationpenalty] [-ablationsteer] [-ablationffwd]
 //	       [-w name] [-scale N] [-n maxInsts] [-parallel N] [-timeout D]
 //	arlsim -server http://host:port [-tenant name] [-fig8] [-ablationpenalty]
-//	arlsim -trace-events out.json [-config "(3+3)"] [-w name | name]
+//	arlsim -trace-events out.json [-config "(3+3)"] [-timeout D] [-w name | name]
 //
 // With -server, the timing studies (-fig8, -ablationpenalty) submit
 // their units to a running arld and assemble the report from the
@@ -22,11 +22,12 @@
 // Chrome trace-event JSON (load it in chrome://tracing or
 // ui.perfetto.dev). The run self-checks: the trace's misprediction
 // detect→cancel→replay spans must match the simulator's recovery
-// count.
+// count. -timeout bounds the trace build and the simulation together.
 package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -149,14 +150,20 @@ func traceRun(c *cliutil.Common, cfgName string) {
 	if err != nil {
 		c.Fatalf("%v", err)
 	}
-	tr, err := cpu.BuildTrace(p, cpu.TraceOptions{MaxInsts: c.MaxInsts})
+	ctx := context.Background()
+	if c.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, c.Timeout)
+		defer cancel()
+	}
+	tr, err := cpu.BuildTrace(p, cpu.TraceOptions{MaxInsts: c.MaxInsts, Ctx: ctx})
 	if err != nil {
 		c.Fatalf("%v", err)
 	}
 
 	ring := obs.NewRing(c.TraceCap)
 	rec := decouple.NewRecovery()
-	opts := []cpu.Option{cpu.WithTracer(ring), cpu.WithRecovery(rec)}
+	opts := []cpu.Option{cpu.WithContext(ctx), cpu.WithTracer(ring), cpu.WithRecovery(rec)}
 	var reg *obs.Registry
 	if c.MetricsPath != "" {
 		reg = obs.NewRegistry()
